@@ -3,6 +3,7 @@
 #include <chrono>
 #include <mutex>
 #include <optional>
+#include <unordered_map>
 #include <unordered_set>
 
 #include <algorithm>
@@ -150,72 +151,80 @@ std::string DesignPoint::describe() const {
 
 namespace {
 
-/// Shared implementation: evaluates one point, optionally reporting the
-/// hardware content key (0 when no hardware was evaluated) so the sweep
-/// can derive deterministic cache statistics. `shard_pool` (may be null)
-/// spreads the exhaustive shard grid over existing workers — evaluate_sweep
-/// passes its pool only for single-point sweeps, where the point runs
-/// inline on the caller and the pool would otherwise sit idle.
-DesignPoint evaluate_point_impl(const MultiplierConfig& config, const EvalOptions& opts,
-                                uint64_t* hw_key, ThreadPool* shard_pool) {
-    DesignPoint point;
-    point.config = config;
-    switch (select_error_engine(config, opts)) {
-        case ErrorEngine::kExhaustiveSliced: {
-            // 64 products per bitwise op; bit-identical to the scalar
-            // engine below (enforced by exhaustive tests).
-            const SlicedMultiplyKernel kernel(config);
-            point.error = exhaustive_metrics_sliced(kernel, /*max_threads=*/0, shard_pool);
-            break;
-        }
-        case ErrorEngine::kExhaustiveScalar: {
-            // The kernel replaces the ApproxMultiplier software model on
-            // the error path: bit-identical results, but the inner loop is
-            // a bit-trick or a precomputed strength-reduced plan instead of
-            // the ClusterPlan interpreter. The shard grid is fixed, so the
-            // result is identical for every shard_pool size.
-            const MultiplyKernel kernel(config);
-            point.error = exhaustive_metrics(
-                config.width, [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); },
-                /*max_threads=*/0, shard_pool);
-            break;
-        }
-        case ErrorEngine::kSampled: {
-            const MultiplyKernel kernel(config);
-            point.error = sampled_distribution_metrics(
-                config.width, opts.samples, point_seed(opts.seed, config), opts.distribution,
-                [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); });
-            break;
-        }
+/// Error step: one configuration's metrics. An exact kernel (the accurate
+/// variant, depth-1 compression) compares a*b against a*b, so it returns
+/// what the accumulator finalizes for an all-exact stream without running
+/// an engine: every metric zero, `samples` pairs counted. Exhaustive
+/// results go through opts.error_memo when one is set; sampled results
+/// never do (they depend on the seed). `shard_pool` (may be null) spreads
+/// the exhaustive shard grid over existing workers — evaluate_sweep passes
+/// its pool only for single-group sweeps, where the group runs inline on
+/// the caller and the pool would otherwise sit idle.
+ErrorMetrics evaluate_error(const MultiplierConfig& config, const EvalOptions& opts,
+                            ThreadPool* shard_pool) {
+    const ErrorEngine engine = select_error_engine(config, opts);
+    if (std::strcmp(multiply_kernel_name(config), "accurate") == 0) {
+        ErrorMetrics exact;
+        const uint64_t side = uint64_t{1} << config.width;
+        exact.samples = engine == ErrorEngine::kSampled ? opts.samples : side * side;
+        return exact;
     }
-    if (hw_key != nullptr) *hw_key = 0;
-    if (opts.evaluate_hardware) {
-        const Netlist net = ApproxMultiplier(config).build_netlist().net;
-        if (opts.hw_cache != nullptr) {
-            point.hw = opts.hw_cache->get_or_synthesize(net, opts.library, opts.synthesis);
-            if (hw_key != nullptr) {
-                *hw_key = CostCache::content_key(net, opts.library, opts.synthesis);
-            }
-        } else {
-            const obs::TraceBinding& tb = obs::current_binding();
-            obs::ScopedSpan span(tb.recorder, tb.ctx, "synthesize");
-            point.hw = synthesize(net, opts.library, opts.synthesis);
-        }
+    if (engine == ErrorEngine::kSampled) {
+        const MultiplyKernel kernel(config);
+        return sampled_distribution_metrics(
+            config.width, opts.samples, point_seed(opts.seed, config), opts.distribution,
+            [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); });
     }
-    return point;
+    const uint64_t key = ErrorMemo::key(config);
+    ErrorMetrics error;
+    if (opts.error_memo != nullptr && opts.error_memo->lookup(key, error)) return error;
+    if (engine == ErrorEngine::kExhaustiveSliced) {
+        // 64 products per bitwise op; bit-identical to the scalar engine
+        // below (enforced by exhaustive tests).
+        const SlicedMultiplyKernel kernel(config);
+        error = exhaustive_metrics_sliced(kernel, /*max_threads=*/0, shard_pool);
+    } else {
+        // The kernel replaces the ApproxMultiplier software model on the
+        // error path: bit-identical results, but the inner loop is a
+        // bit-trick or a precomputed strength-reduced plan instead of the
+        // ClusterPlan interpreter. The shard grid is fixed, so the result
+        // is identical for every shard_pool size.
+        const MultiplyKernel kernel(config);
+        error = exhaustive_metrics(
+            config.width, [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); },
+            /*max_threads=*/0, shard_pool);
+    }
+    if (opts.error_memo != nullptr) opts.error_memo->insert(key, error);
+    return error;
+}
+
+/// Hardware step: builds and synthesizes one configuration. With a cache
+/// in use it reports the hardware content key through `hw_key` (when
+/// non-null) so the sweep can derive deterministic cache statistics.
+/// use_hw_cache=false wins over a provided cache (the documented
+/// --no-hw-cache escape hatch).
+SynthesisReport evaluate_hardware(const MultiplierConfig& config, const EvalOptions& opts,
+                                  uint64_t* hw_key) {
+    const Netlist net = ApproxMultiplier(config).build_netlist().net;
+    if (opts.use_hw_cache && opts.hw_cache != nullptr) {
+        if (hw_key != nullptr) {
+            *hw_key = CostCache::content_key(net, opts.library, opts.synthesis);
+        }
+        return opts.hw_cache->get_or_synthesize(net, opts.library, opts.synthesis);
+    }
+    const obs::TraceBinding& tb = obs::current_binding();
+    obs::ScopedSpan span(tb.recorder, tb.ctx, "synthesize");
+    return synthesize(net, opts.library, opts.synthesis);
 }
 
 }  // namespace
 
 DesignPoint evaluate_point(const MultiplierConfig& config, const EvalOptions& opts) {
-    if (!opts.use_hw_cache && opts.hw_cache != nullptr) {
-        // use_hw_cache=false wins over a provided cache, matching
-        // evaluate_sweep (the documented --no-hw-cache escape hatch).
-        EvalOptions uncached = opts;
-        uncached.hw_cache = nullptr;
-        return evaluate_point_impl(config, uncached, nullptr, nullptr);
-    }
-    return evaluate_point_impl(config, opts, nullptr, nullptr);
+    DesignPoint point;
+    point.config = config;
+    point.error = evaluate_error(config, opts, nullptr);
+    if (opts.evaluate_hardware) point.hw = evaluate_hardware(config, opts, nullptr);
+    return point;
 }
 
 std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions& opts,
@@ -254,6 +263,26 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
         for (const uint64_t k : point_opts.hw_cache->keys()) warm_keys.insert(k);
     }
 
+    // Group the points by error function, in order of first appearance.
+    // Exhaustive points of one (width, variant, depth) share their error
+    // whatever the scheme, so the group evaluates it once. A sampled point
+    // folds its scheme into its seed (point_seed) and is a group of its own.
+    std::vector<std::vector<size_t>> groups;
+    {
+        std::unordered_map<uint64_t, size_t> group_of;
+        for (size_t i = 0; i < configs.size(); ++i) {
+            if (select_error_engine(configs[i], point_opts) != ErrorEngine::kSampled) {
+                const auto [it, fresh] =
+                    group_of.emplace(ErrorMemo::key(configs[i]), groups.size());
+                if (!fresh) {
+                    groups[it->second].push_back(i);
+                    continue;
+                }
+            }
+            groups.push_back({i});
+        }
+    }
+
     // Run on the caller's pool when provided (service loops reuse one pool
     // across requests); otherwise spin up a sweep-local one.
     std::optional<ThreadPool> local_pool;
@@ -262,12 +291,12 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
         local_pool.emplace(opts.threads);
         pool = &*local_pool;
     }
-    // A one-point sweep runs inline on the caller (parallel_for's n == 1
+    // A one-group sweep runs inline on the caller (parallel_for's n == 1
     // fast path), leaving the pool idle — hand it to the exhaustive engine
-    // so the shard grid parallelizes instead. With more points the pool is
-    // busy with points; an inner parallel_for from a pool worker would
+    // so the shard grid parallelizes instead. With more groups the pool is
+    // busy with groups; an inner parallel_for from a pool worker would
     // deadlock, so the engine then runs its shards inline.
-    ThreadPool* shard_pool = configs.size() == 1 ? pool : nullptr;
+    ThreadPool* shard_pool = groups.size() == 1 ? pool : nullptr;
 
     // Ordered streaming: a worker finishing point i marks it ready, then
     // drains the contiguous ready prefix. Exactly one worker holds the
@@ -285,22 +314,32 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
 
     const bool has_deadline = opts.deadline != std::chrono::steady_clock::time_point{};
     std::vector<uint64_t> hw_keys(configs.size(), 0);
-    parallel_for(*pool, configs.size(), [&](size_t i) {
-        if (opts.cancel != nullptr && opts.cancel->load(std::memory_order_relaxed)) {
-            throw SweepCancelled();
-        }
-        if (has_deadline && std::chrono::steady_clock::now() >= opts.deadline) {
-            throw SweepDeadlineExceeded();
-        }
-        obs::ScopedSpan eval_span(opts.recorder, opts.trace, "kernel_eval");
-        obs::ScopedBinding binding(opts.recorder, eval_span.context());
-        points[i] = evaluate_point_impl(configs[i], point_opts, &hw_keys[i], shard_pool);
-        if (opts.on_point) {
-            std::lock_guard<std::mutex> lock(emit_mutex);
-            ready[i] = 1;
-            while (next_emit < ready.size() && ready[next_emit] != 0) {
-                opts.on_point(base + next_emit, points[next_emit]);
-                ++next_emit;
+    parallel_for(*pool, groups.size(), [&](size_t g) {
+        ErrorMetrics error;
+        for (const size_t i : groups[g]) {
+            if (opts.cancel != nullptr && opts.cancel->load(std::memory_order_relaxed)) {
+                throw SweepCancelled();
+            }
+            if (has_deadline && std::chrono::steady_clock::now() >= opts.deadline) {
+                throw SweepDeadlineExceeded();
+            }
+            obs::ScopedSpan eval_span(opts.recorder, opts.trace, "kernel_eval");
+            obs::ScopedBinding binding(opts.recorder, eval_span.context());
+            if (i == groups[g].front()) {
+                error = evaluate_error(configs[i], point_opts, shard_pool);
+            }
+            points[i].config = configs[i];
+            points[i].error = error;
+            if (point_opts.evaluate_hardware) {
+                points[i].hw = evaluate_hardware(configs[i], point_opts, &hw_keys[i]);
+            }
+            if (opts.on_point) {
+                std::lock_guard<std::mutex> lock(emit_mutex);
+                ready[i] = 1;
+                while (next_emit < ready.size() && ready[next_emit] != 0) {
+                    opts.on_point(base + next_emit, points[next_emit]);
+                    ++next_emit;
+                }
             }
         }
     });

@@ -3,10 +3,19 @@
 // For each MultiplierConfig the evaluator computes error metrics with the
 // bit-exact software model (exhaustive up to a width threshold, seeded
 // Monte-Carlo above it) and hardware cost by generating the netlist and
-// running the virtual-synthesis flow (optimize -> STA -> power). Points are
-// distributed over a ThreadPool; every per-point computation is seeded from
-// the configuration itself, so results are bit-identical regardless of the
-// thread count or scheduling order.
+// running the virtual-synthesis flow (optimize -> STA -> power). Every
+// per-point computation is seeded from the configuration itself, so results
+// are bit-identical regardless of the thread count or scheduling order.
+//
+// Each error function is evaluated once. An exhaustive result depends only
+// on (width, variant, depth) — the accumulation scheme changes the adder
+// tree, not the product — so evaluate_sweep groups a sweep's points by that
+// key and distributes the groups over a ThreadPool: a group evaluates its
+// error once, then builds and synthesizes each member. A sampled point folds
+// its scheme into its seed and is a group of its own. Exact kernels (the
+// accurate variant) skip error evaluation: their metrics are all zero.
+// An optional ErrorMemo (dse/error_memo.h) carries exhaustive results
+// across sweeps.
 //
 // Error evaluation dispatches through core/kernels.h (stateless bit-trick
 // kernels where available, the strength-reduced planned path otherwise),
@@ -26,6 +35,7 @@
 #include <vector>
 
 #include "dse/cost_cache.h"
+#include "dse/error_memo.h"
 #include "dse/pareto.h"
 #include "dse/sweep.h"
 #include "error/metrics.h"
@@ -84,6 +94,12 @@ struct EvalOptions {
     /// sweep-local cache. Every SynthesisCache returns reports
     /// bit-identical to synthesize(), so this knob changes speed only.
     SynthesisCache* hw_cache = nullptr;
+    /// Optional externally owned memo of exhaustive error results, keyed by
+    /// error function (a resident service owns one). When null, every
+    /// sweep evaluates each exhaustive function once — `dse_tool --repeat`
+    /// relies on that to recheck the engines on every run. Sampled results
+    /// are never memoized. Results are identical either way.
+    ErrorMemo* error_memo = nullptr;
     /// Optional externally owned worker pool. When null, evaluate_sweep
     /// spins up a sweep-local pool of `threads` workers; a long-lived
     /// service passes its own pool so every request reuses one set of
@@ -101,7 +117,7 @@ struct EvalOptions {
     /// Cooperative wall-clock budget: when set (non-epoch), workers stop
     /// claiming points once the deadline passes and evaluate_sweep throws
     /// SweepDeadlineExceeded. Checked at the same granularity as `cancel`
-    /// — between design points, never inside one — so a single very
+    /// — before every design point, never inside one — so a single very
     /// expensive point can overshoot the budget by its own cost. Points
     /// already reported through on_point stay reported: the partial stream
     /// is always a strict prefix of the full enumeration-order stream.
@@ -238,14 +254,17 @@ struct DesignPoint {
 };
 
 /// Evaluates one configuration (single-threaded; deterministic for a given
-/// EvalOptions regardless of the caller's threading).
+/// EvalOptions regardless of the caller's threading). Consults and fills
+/// opts.error_memo like evaluate_sweep does.
 [[nodiscard]] DesignPoint evaluate_point(const MultiplierConfig& config,
                                          const EvalOptions& opts = {});
 
-/// Evaluates every point of the sweep in parallel. The result order matches
-/// SweepSpec::enumerate() and the values are bit-identical for any
-/// opts.threads (and for the hardware cache on or off). When `stats` is
-/// non-null it receives the sweep's wall time and cache counters.
+/// Evaluates every point of the sweep in parallel, one error evaluation per
+/// error function (see the file comment). The result order matches
+/// SweepSpec::enumerate() and the values are bit-identical to evaluate_point
+/// on each config, for any opts.threads, shard range, hardware cache or
+/// error memo. When `stats` is non-null it receives the sweep's wall time
+/// and cache counters.
 [[nodiscard]] std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec,
                                                       const EvalOptions& opts = {},
                                                       SweepStats* stats = nullptr);

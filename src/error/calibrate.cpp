@@ -72,7 +72,7 @@ namespace {
 
 int budget_width(double ns_per_op, int floor_width, double budget_ms) {
     int w = floor_width;
-    for (int cand = floor_width + 1; cand <= 16; ++cand) {
+    for (int cand = floor_width + 1; cand <= kMaxExhaustiveWidth; ++cand) {
         const double pairs = static_cast<double>((uint64_t{1} << cand) * (uint64_t{1} << cand));
         if (ns_per_op <= 0.0 || pairs * ns_per_op > budget_ms * 1e6) break;
         w = cand;

@@ -32,6 +32,12 @@ struct EngineCalibration {
 /// The process-wide calibration, measured lazily on first use.
 [[nodiscard]] const EngineCalibration& engine_calibration();
 
+/// Widest exhaustive cutoff: the clamp of resolve_exhaustive_cutoffs and
+/// the sliced engine's limit. One exhaustive point at this width is 2^32
+/// operand pairs; cancel and deadline cannot interrupt a point, so the
+/// tool and protocol edges reject any wider cutoff.
+inline constexpr int kMaxExhaustiveWidth = 16;
+
 /// Exhaustive cutoff widths per kernel path: exhaustive evaluation runs at
 /// or below the path's width, Monte-Carlo sampling above it.
 struct ExhaustiveCutoffs {
@@ -42,10 +48,10 @@ struct ExhaustiveCutoffs {
 };
 
 /// Largest width per path whose full 4^width-pair sweep fits `budget_ms`,
-/// clamped to [floor_width, 16]. Never demotes below the floor (the
-/// historical fixed cutoff), so auto resolution only ever promotes configs
-/// that the fixed cutoff would have sampled. Pure: same inputs, same
-/// result.
+/// clamped to [floor_width, kMaxExhaustiveWidth]. Never demotes below the
+/// floor (the historical fixed cutoff), so auto resolution only ever
+/// promotes configs that the fixed cutoff would have sampled. Pure: same
+/// inputs, same result.
 [[nodiscard]] ExhaustiveCutoffs resolve_exhaustive_cutoffs(const EngineCalibration& cal,
                                                            int floor_width,
                                                            double budget_ms);

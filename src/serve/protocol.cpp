@@ -6,6 +6,7 @@
 
 #include "dse/export.h"
 #include "dse/point_wire.h"
+#include "error/calibrate.h"
 #include "util/json.h"
 #include "util/json_parse.h"
 
@@ -40,6 +41,17 @@ int read_int(const JsonValue& v, const std::string& key) {
         reject("\"" + key + "\" must be an integer");
     }
     return static_cast<int>(v.number);
+}
+
+/// An exhaustive cutoff width, in [0, kMaxExhaustiveWidth]. A wider
+/// cutoff would make one point a 2^34+-pair sweep that neither cancel nor
+/// deadline can stop.
+int read_cutoff_width(const JsonValue& v, const std::string& key) {
+    const int width = read_int(v, key);
+    if (width < 0 || width > kMaxExhaustiveWidth) {
+        reject("\"" + key + "\" must be in [0, " + std::to_string(kMaxExhaustiveWidth) + "]");
+    }
+    return width;
 }
 
 std::string read_string(const JsonValue& v, const std::string& key) {
@@ -133,7 +145,7 @@ EvalOptions read_eval(const JsonValue& v) {
         eval.samples = read_uint64(*samples, "samples");
     }
     if (const JsonValue* w = v.find("exhaustive_max_width")) {
-        eval.exhaustive_max_width = read_int(*w, "exhaustive_max_width");
+        eval.exhaustive_max_width = read_cutoff_width(*w, "exhaustive_max_width");
     }
     if (const JsonValue* dist = v.find("dist")) {
         const std::string name = read_string(*dist, "dist");
@@ -159,16 +171,16 @@ EvalOptions read_eval(const JsonValue& v) {
         check_known_keys(*widths, "exhaustive_widths",
                          {"accurate", "fast2", "planned", "sliced"});
         if (const JsonValue* w = widths->find("accurate")) {
-            eval.exhaustive_width_accurate = read_int(*w, "accurate");
+            eval.exhaustive_width_accurate = read_cutoff_width(*w, "accurate");
         }
         if (const JsonValue* w = widths->find("fast2")) {
-            eval.exhaustive_width_fast2 = read_int(*w, "fast2");
+            eval.exhaustive_width_fast2 = read_cutoff_width(*w, "fast2");
         }
         if (const JsonValue* w = widths->find("planned")) {
-            eval.exhaustive_width_planned = read_int(*w, "planned");
+            eval.exhaustive_width_planned = read_cutoff_width(*w, "planned");
         }
         if (const JsonValue* w = widths->find("sliced")) {
-            eval.exhaustive_width_sliced = read_int(*w, "sliced");
+            eval.exhaustive_width_sliced = read_cutoff_width(*w, "sliced");
         }
     }
     return eval;
@@ -450,6 +462,9 @@ std::string stats_event(const std::string& id, const ServiceStats& stats) {
     out += ", \"hw_cache\": {\"hits\": " + std::to_string(stats.cache_hits);
     out += ", \"misses\": " + std::to_string(stats.cache_misses);
     out += ", \"entries\": " + std::to_string(stats.cache_entries);
+    out += "}, \"error_memo\": {\"hits\": " + std::to_string(stats.error_memo_hits);
+    out += ", \"misses\": " + std::to_string(stats.error_memo_misses);
+    out += ", \"entries\": " + std::to_string(stats.error_memo_entries);
     out += "}, \"remote_cache\": {\"enabled\": ";
     out += stats.remote_cache.enabled ? "true" : "false";
     out += ", \"hits\": " + std::to_string(stats.remote_cache.hits);

@@ -61,6 +61,16 @@ echo '{"id":"late","spec":{"width":8},"deadline_ms":1}' >late.ndjson
 "$tool" --client late.ndjson --socket "$sock" --quiet
 check_exit "deadline exceeded" 1 $?
 
+# An exhaustive cutoff above 16 is rejected at parse time (invalid_request,
+# exit 1) instead of starting a 2^48-pair point that neither cancel nor the
+# deadline can stop; `timeout` turns a hang into a failure.
+echo '{"id":"wide","spec":{"widths":[24]},"eval":{"exhaustive_max_width":24},"deadline_ms":500}' >wide.ndjson
+timeout 30 "$tool" --client wide.ndjson --socket "$sock" --quiet 2>/dev/null
+check_exit "exhaustive cutoff above 16" 1 $?
+echo '{"id":"wide2","spec":{"width":4},"eval":{"exhaustive_widths":{"sliced":17}}}' >wide2.ndjson
+timeout 30 "$tool" --client wide2.ndjson --socket "$sock" --quiet 2>/dev/null
+check_exit "per-path exhaustive width above 16" 1 $?
+
 # Two chunked exports multiplexed over one connection: per-id reassembly
 # must keep the interleaved streams apart and exit 0.
 cat >multi.ndjson <<'EOF'
@@ -197,6 +207,10 @@ check_exit "access log without value" 2 $?
 check_exit "cache_tool access log in client mode" 2 $?
 "$dse" --trace-out 2>/dev/null
 check_exit "dse_tool trace-out without value" 2 $?
+timeout 30 "$dse" --width 20 --exhaustive-max-width 20 >/dev/null 2>&1
+check_exit "dse_tool exhaustive cutoff above 16" 2 $?
+"$dse" --exhaustive-max-width -1 >/dev/null 2>&1
+check_exit "dse_tool negative exhaustive cutoff" 2 $?
 
 # Cluster flag usage contract, dse_tool (exit 2 = usage, before any sweep).
 "$dse" --workers "no-port-here" 2>/dev/null

@@ -156,6 +156,19 @@ TEST(ServeProtocol, StrictRejection) {
          "invalid_request"},  // 2^64: out of range must not clamp
         {"{\"id\": \"r\", \"eval\": {\"seed\": \" 42\"}}", "invalid_request"},
         {"{\"id\": \"r\", \"eval\": {\"seed\": \"+42\"}}", "invalid_request"},
+        // Exhaustive cutoffs above 16 would make one point an unstoppable
+        // 2^34+-pair sweep; negative ones are meaningless.
+        {"{\"id\": \"r\", \"eval\": {\"exhaustive_max_width\": 17}}", "invalid_request"},
+        {"{\"id\": \"r\", \"eval\": {\"exhaustive_max_width\": 24}}", "invalid_request"},
+        {"{\"id\": \"r\", \"eval\": {\"exhaustive_max_width\": -1}}", "invalid_request"},
+        {"{\"id\": \"r\", \"eval\": {\"exhaustive_widths\": {\"accurate\": 17}}}",
+         "invalid_request"},
+        {"{\"id\": \"r\", \"eval\": {\"exhaustive_widths\": {\"fast2\": -1}}}",
+         "invalid_request"},
+        {"{\"id\": \"r\", \"eval\": {\"exhaustive_widths\": {\"planned\": 20}}}",
+         "invalid_request"},
+        {"{\"id\": \"r\", \"eval\": {\"exhaustive_widths\": {\"sliced\": 32}}}",
+         "invalid_request"},
         {"{\"id\": \"r\", \"deadline_ms\": 0}", "invalid_request"},
         {"{\"id\": \"r\", \"deadline_ms\": -5}", "invalid_request"},
         // > 1e9 ms would overflow steady_clock arithmetic downstream.
@@ -175,6 +188,26 @@ TEST(ServeProtocol, StrictRejection) {
         EXPECT_FALSE(parse_request(c.line, kDefaultMaxRequestBytes, req, err)) << c.line;
         EXPECT_EQ(err.code, c.code) << c.line << " — " << err.message;
     }
+}
+
+TEST(ServeProtocol, ExhaustiveCutoffBoundsAreInclusive) {
+    // 0 (sample everything) and 16 (the widest exhaustive engine) are both
+    // valid; the range check must not be off by one at either end.
+    SweepRequest req;
+    RequestError err;
+    ASSERT_TRUE(parse_request(
+        "{\"id\": \"r\", \"eval\": {\"exhaustive_max_width\": 0, \"exhaustive_widths\":"
+        " {\"accurate\": 16, \"fast2\": 0, \"planned\": 16, \"sliced\": 16}}}",
+        kDefaultMaxRequestBytes, req, err))
+        << err.message;
+    EXPECT_EQ(req.eval.exhaustive_max_width, 0);
+    EXPECT_EQ(req.eval.exhaustive_width_accurate, 16);
+    EXPECT_EQ(req.eval.exhaustive_width_fast2, 0);
+    EXPECT_EQ(req.eval.exhaustive_width_sliced, 16);
+    ASSERT_TRUE(parse_request("{\"id\": \"r\", \"eval\": {\"exhaustive_max_width\": 16}}",
+                              kDefaultMaxRequestBytes, req, err))
+        << err.message;
+    EXPECT_EQ(req.eval.exhaustive_max_width, 16);
 }
 
 TEST(ServeProtocol, SchemaErrorsKeepTheRequestId) {

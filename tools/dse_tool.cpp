@@ -22,7 +22,9 @@
 //
 // --repeat K evaluates the sweep K times sharing one hardware cache (run 1
 // cold, later runs warm) and *fails* unless every run reproduces run 1
-// bit-exactly — the CI determinism guard for the cached path.
+// bit-exactly — the CI determinism guard for the cached path. No error
+// memo is shared, so every run re-evaluates error and the guard rechecks
+// the engines too.
 //
 // Output is deterministic: for a fixed sweep and seed it is byte-identical
 // regardless of --threads, and identical up to the "sweep time:"/"hw
@@ -46,6 +48,7 @@
 #include "dse/pareto.h"
 #include "dse/remote_cache.h"
 #include "dse/sweep.h"
+#include "error/calibrate.h"
 #include "obs/trace.h"
 #include "util/table.h"
 
@@ -69,9 +72,9 @@ using namespace sdlc;
         "    --seed S             base RNG seed (default 0x5d1c5eed)\n"
         "    --samples K          Monte-Carlo samples for wide operands\n"
         "    --dist D             uniform|gaussian|sparse sampling distribution\n"
-        "    --exhaustive-max-width W  exhaustive error sweep cutoff (default 10);\n"
-        "                         setting it pins the fixed cutoff and disables the\n"
-        "                         auto time-budget promotion\n"
+        "    --exhaustive-max-width W  exhaustive error sweep cutoff, 0..16 (default\n"
+        "                         10); setting it pins the fixed cutoff and disables\n"
+        "                         the auto time-budget promotion\n"
         "    --no-sliced          force the scalar exhaustive engine (bit-identical\n"
         "                         results; the bit-sliced engine is speed only)\n"
         "    --no-auto-exhaustive disable the per-path time-budget cutoff promotion\n"
@@ -238,6 +241,10 @@ EvalOptions options_from(const Args& args) {
     opts.seed = args.get_uint64("--seed", 0x5d1c5eed);
     opts.samples = args.get_uint64("--samples", uint64_t{1} << 18);
     opts.exhaustive_max_width = args.get_int("--exhaustive-max-width", 10);
+    if (opts.exhaustive_max_width < 0 || opts.exhaustive_max_width > kMaxExhaustiveWidth) {
+        usage("--exhaustive-max-width must be in [0, " + std::to_string(kMaxExhaustiveWidth) +
+              "]");
+    }
     const std::string dist = args.get("--dist", "uniform");
     if (dist == "uniform") opts.distribution = OperandDistribution::kUniform;
     else if (dist == "gaussian") opts.distribution = OperandDistribution::kGaussian;
