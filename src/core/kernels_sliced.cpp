@@ -161,7 +161,7 @@ void transpose64_to(uint64_t dst[64], const uint64_t src[64]) { kTransposeFn(dst
 void transpose64(uint64_t m[64]) { kTransposeFn(m, m); }
 
 bool SlicedMultiplyKernel::eligible(const MultiplierConfig& config) noexcept {
-    if (config.width < 2 || config.width > 16) return false;
+    if (config.width < 2 || config.width > kMaxWidth) return false;
     if (config.variant == MultiplierVariant::kAccurate) return false;
     // depth 1 compresses nothing; depth > width is unbuildable.
     return config.depth >= 2 && config.depth <= config.width;

@@ -62,10 +62,13 @@ public:
         uint64_t low[64] = {};  ///< error planes of all low-row groups/terms
     };
 
+    /// Widest operand the engine evaluates.
+    static constexpr int kMaxWidth = 16;
+
     /// Throws std::invalid_argument when !eligible(config).
     explicit SlicedMultiplyKernel(const MultiplierConfig& config);
 
-    /// True when this engine applies: width in [2, 16] and a non-empty
+    /// True when this engine applies: width in [2, kMaxWidth] and a non-empty
     /// compression plan (sdlc/compensated with depth in [2, width]).
     /// Accurate and depth-1 configurations are exact — the scalar
     /// accurate kernel is already optimal for them.

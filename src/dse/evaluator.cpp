@@ -33,6 +33,14 @@ uint64_t point_seed(uint64_t base, const MultiplierConfig& c) {
     return SplitMix64(s).next();
 }
 
+/// The error function a configuration computes: (width, variant, depth).
+/// The scheme is left out — it changes the adder tree, never the product.
+uint64_t error_function_key(const MultiplierConfig& c) {
+    return static_cast<uint64_t>(static_cast<uint16_t>(c.width)) << 48 |
+           static_cast<uint64_t>(static_cast<uint16_t>(c.depth)) << 32 |
+           static_cast<uint64_t>(static_cast<uint16_t>(c.variant)) << 16;
+}
+
 uint64_t draw_operand(Xoshiro256& rng, uint64_t mask, OperandDistribution dist) {
     switch (dist) {
         case OperandDistribution::kUniform:
@@ -154,12 +162,10 @@ namespace {
 /// Error step: one configuration's metrics. An exact kernel (the accurate
 /// variant, depth-1 compression) compares a*b against a*b, so it returns
 /// what the accumulator finalizes for an all-exact stream without running
-/// an engine: every metric zero, `samples` pairs counted. Exhaustive
-/// results go through opts.error_memo when one is set; sampled results
-/// never do (they depend on the seed). `shard_pool` (may be null) spreads
-/// the exhaustive shard grid over existing workers — evaluate_sweep passes
-/// its pool only for single-group sweeps, where the group runs inline on
-/// the caller and the pool would otherwise sit idle.
+/// an engine: every metric zero, `samples` pairs counted. `shard_pool`
+/// (may be null) spreads the exhaustive shard grid over existing workers —
+/// evaluate_sweep passes its pool only for single-group sweeps, where the
+/// group runs inline on the caller and the pool would otherwise sit idle.
 ErrorMetrics evaluate_error(const MultiplierConfig& config, const EvalOptions& opts,
                             ThreadPool* shard_pool) {
     const ErrorEngine engine = select_error_engine(config, opts);
@@ -169,33 +175,32 @@ ErrorMetrics evaluate_error(const MultiplierConfig& config, const EvalOptions& o
         exact.samples = engine == ErrorEngine::kSampled ? opts.samples : side * side;
         return exact;
     }
-    if (engine == ErrorEngine::kSampled) {
-        const MultiplyKernel kernel(config);
-        return sampled_distribution_metrics(
-            config.width, opts.samples, point_seed(opts.seed, config), opts.distribution,
-            [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); });
+    switch (engine) {
+        case ErrorEngine::kExhaustiveSliced: {
+            // 64 products per bitwise op; bit-identical to the scalar
+            // engine below (enforced by exhaustive tests).
+            const SlicedMultiplyKernel kernel(config);
+            return exhaustive_metrics_sliced(kernel, /*max_threads=*/0, shard_pool);
+        }
+        case ErrorEngine::kExhaustiveScalar: {
+            // The kernel replaces the ApproxMultiplier software model on
+            // the error path: bit-identical results, but the inner loop is
+            // a bit-trick or a precomputed strength-reduced plan instead of
+            // the ClusterPlan interpreter. The shard grid is fixed, so the
+            // result is identical for every shard_pool size.
+            const MultiplyKernel kernel(config);
+            return exhaustive_metrics(
+                config.width, [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); },
+                /*max_threads=*/0, shard_pool);
+        }
+        case ErrorEngine::kSampled: {
+            const MultiplyKernel kernel(config);
+            return sampled_distribution_metrics(
+                config.width, opts.samples, point_seed(opts.seed, config), opts.distribution,
+                [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); });
+        }
     }
-    const uint64_t key = ErrorMemo::key(config);
-    ErrorMetrics error;
-    if (opts.error_memo != nullptr && opts.error_memo->lookup(key, error)) return error;
-    if (engine == ErrorEngine::kExhaustiveSliced) {
-        // 64 products per bitwise op; bit-identical to the scalar engine
-        // below (enforced by exhaustive tests).
-        const SlicedMultiplyKernel kernel(config);
-        error = exhaustive_metrics_sliced(kernel, /*max_threads=*/0, shard_pool);
-    } else {
-        // The kernel replaces the ApproxMultiplier software model on the
-        // error path: bit-identical results, but the inner loop is a
-        // bit-trick or a precomputed strength-reduced plan instead of the
-        // ClusterPlan interpreter. The shard grid is fixed, so the result
-        // is identical for every shard_pool size.
-        const MultiplyKernel kernel(config);
-        error = exhaustive_metrics(
-            config.width, [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); },
-            /*max_threads=*/0, shard_pool);
-    }
-    if (opts.error_memo != nullptr) opts.error_memo->insert(key, error);
-    return error;
+    return {};
 }
 
 /// Hardware step: builds and synthesizes one configuration. With a cache
@@ -273,7 +278,7 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
         for (size_t i = 0; i < configs.size(); ++i) {
             if (select_error_engine(configs[i], point_opts) != ErrorEngine::kSampled) {
                 const auto [it, fresh] =
-                    group_of.emplace(ErrorMemo::key(configs[i]), groups.size());
+                    group_of.emplace(error_function_key(configs[i]), groups.size());
                 if (!fresh) {
                     groups[it->second].push_back(i);
                     continue;
@@ -314,6 +319,7 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
 
     const bool has_deadline = opts.deadline != std::chrono::steady_clock::time_point{};
     std::vector<uint64_t> hw_keys(configs.size(), 0);
+    std::atomic<size_t> error_evaluations{0};
     parallel_for(*pool, groups.size(), [&](size_t g) {
         ErrorMetrics error;
         for (const size_t i : groups[g]) {
@@ -327,6 +333,7 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
             obs::ScopedBinding binding(opts.recorder, eval_span.context());
             if (i == groups[g].front()) {
                 error = evaluate_error(configs[i], point_opts, shard_pool);
+                error_evaluations.fetch_add(1, std::memory_order_relaxed);
             }
             points[i].config = configs[i];
             points[i].error = error;
@@ -350,6 +357,7 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
         stats->hw_cache_enabled = point_opts.hw_cache != nullptr;
         stats->engines = tally_error_engines(configs, point_opts);
         stats->cutoff_desc = describe_exhaustive_cutoffs(point_opts);
+        stats->error_evaluations = error_evaluations.load(std::memory_order_relaxed);
         // Replay the keys in enumeration order: the first sight of a key not
         // already warm is the miss, every later sight a hit. This is what a
         // sequential run would count, independent of scheduling.

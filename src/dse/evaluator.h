@@ -13,9 +13,10 @@
 // key and distributes the groups over a ThreadPool: a group evaluates its
 // error once, then builds and synthesizes each member. A sampled point folds
 // its scheme into its seed and is a group of its own. Exact kernels (the
-// accurate variant) skip error evaluation: their metrics are all zero.
-// An optional ErrorMemo (dse/error_memo.h) carries exhaustive results
-// across sweeps.
+// accurate variant, depth-1 compression) skip error evaluation: their
+// metrics are all zero.
+// Nothing is kept across sweeps, so every sweep (and every `dse_tool
+// --repeat` run) re-evaluates each function and rechecks the engines.
 //
 // Error evaluation dispatches through core/kernels.h (stateless bit-trick
 // kernels where available, the strength-reduced planned path otherwise),
@@ -35,7 +36,6 @@
 #include <vector>
 
 #include "dse/cost_cache.h"
-#include "dse/error_memo.h"
 #include "dse/pareto.h"
 #include "dse/sweep.h"
 #include "error/metrics.h"
@@ -94,12 +94,6 @@ struct EvalOptions {
     /// sweep-local cache. Every SynthesisCache returns reports
     /// bit-identical to synthesize(), so this knob changes speed only.
     SynthesisCache* hw_cache = nullptr;
-    /// Optional externally owned memo of exhaustive error results, keyed by
-    /// error function (a resident service owns one). When null, every
-    /// sweep evaluates each exhaustive function once — `dse_tool --repeat`
-    /// relies on that to recheck the engines on every run. Sampled results
-    /// are never memoized. Results are identical either way.
-    ErrorMemo* error_memo = nullptr;
     /// Optional externally owned worker pool. When null, evaluate_sweep
     /// spins up a sweep-local pool of `threads` workers; a long-lived
     /// service passes its own pool so every request reuses one set of
@@ -219,6 +213,10 @@ struct SweepStats {
     /// configs (deterministic; safe for the JSON export summary).
     ErrorEngineTally engines;
     std::string cutoff_desc;
+    /// Error evaluations run: one per exhaustive error function and one per
+    /// sampled point, however many schemes share a function (see the file
+    /// comment). Deterministic for a completed sweep.
+    size_t error_evaluations = 0;
 };
 
 /// One fully evaluated configuration.
@@ -254,17 +252,16 @@ struct DesignPoint {
 };
 
 /// Evaluates one configuration (single-threaded; deterministic for a given
-/// EvalOptions regardless of the caller's threading). Consults and fills
-/// opts.error_memo like evaluate_sweep does.
+/// EvalOptions regardless of the caller's threading).
 [[nodiscard]] DesignPoint evaluate_point(const MultiplierConfig& config,
                                          const EvalOptions& opts = {});
 
 /// Evaluates every point of the sweep in parallel, one error evaluation per
 /// error function (see the file comment). The result order matches
 /// SweepSpec::enumerate() and the values are bit-identical to evaluate_point
-/// on each config, for any opts.threads, shard range, hardware cache or
-/// error memo. When `stats` is non-null it receives the sweep's wall time
-/// and cache counters.
+/// on each config, for any opts.threads, shard range or hardware cache.
+/// When `stats` is non-null it receives the sweep's wall time and cache
+/// counters.
 [[nodiscard]] std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec,
                                                       const EvalOptions& opts = {},
                                                       SweepStats* stats = nullptr);

@@ -15,6 +15,8 @@
 
 #include <string>
 
+#include "core/kernels_sliced.h"
+
 namespace sdlc {
 
 /// Measured exhaustive-evaluation cost per operand pair, by kernel path.
@@ -32,11 +34,11 @@ struct EngineCalibration {
 /// The process-wide calibration, measured lazily on first use.
 [[nodiscard]] const EngineCalibration& engine_calibration();
 
-/// Widest exhaustive cutoff: the clamp of resolve_exhaustive_cutoffs and
-/// the sliced engine's limit. One exhaustive point at this width is 2^32
-/// operand pairs; cancel and deadline cannot interrupt a point, so the
-/// tool and protocol edges reject any wider cutoff.
-inline constexpr int kMaxExhaustiveWidth = 16;
+/// Widest exhaustive cutoff, the clamp of resolve_exhaustive_cutoffs: the
+/// widest operand the sliced engine evaluates. One exhaustive point at this
+/// width is 2^32 operand pairs; cancel and deadline cannot interrupt a
+/// point, so the tool and protocol edges reject any wider cutoff.
+inline constexpr int kMaxExhaustiveWidth = SlicedMultiplyKernel::kMaxWidth;
 
 /// Exhaustive cutoff widths per kernel path: exhaustive evaluation runs at
 /// or below the path's width, Monte-Carlo sampling above it.

@@ -76,16 +76,6 @@ std::string prometheus_metrics(const ServiceStats& stats) {
     gauge(out, p + "hw_cache_entries", "Distinct memoized designs resident in the cache.");
     out += p + "hw_cache_entries " + std::to_string(stats.cache_entries) + "\n";
 
-    counter(out, p + "error_memo_lookups_total",
-            "Exhaustive error-memo lookups by result (raw counters; scheduling-dependent).");
-    out += p + "error_memo_lookups_total{result=\"hit\"} " +
-           std::to_string(stats.error_memo_hits) + "\n";
-    out += p + "error_memo_lookups_total{result=\"miss\"} " +
-           std::to_string(stats.error_memo_misses) + "\n";
-
-    gauge(out, p + "error_memo_entries", "Distinct error functions resident in the memo.");
-    out += p + "error_memo_entries " + std::to_string(stats.error_memo_entries) + "\n";
-
     counter(out, p + "remote_cache_requests_total",
             "Remote cache-tier operations by result (zero without --cache-peers).");
     const struct {

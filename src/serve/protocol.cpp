@@ -462,9 +462,6 @@ std::string stats_event(const std::string& id, const ServiceStats& stats) {
     out += ", \"hw_cache\": {\"hits\": " + std::to_string(stats.cache_hits);
     out += ", \"misses\": " + std::to_string(stats.cache_misses);
     out += ", \"entries\": " + std::to_string(stats.cache_entries);
-    out += "}, \"error_memo\": {\"hits\": " + std::to_string(stats.error_memo_hits);
-    out += ", \"misses\": " + std::to_string(stats.error_memo_misses);
-    out += ", \"entries\": " + std::to_string(stats.error_memo_entries);
     out += "}, \"remote_cache\": {\"enabled\": ";
     out += stats.remote_cache.enabled ? "true" : "false";
     out += ", \"hits\": " + std::to_string(stats.remote_cache.hits);

@@ -184,9 +184,6 @@ struct ServiceStats {
     uint64_t cache_hits = 0;        ///< CostCache raw hit counter
     uint64_t cache_misses = 0;      ///< CostCache raw miss counter
     size_t cache_entries = 0;       ///< distinct memoized designs
-    uint64_t error_memo_hits = 0;   ///< ErrorMemo raw hit counter
-    uint64_t error_memo_misses = 0; ///< ErrorMemo raw miss counter
-    size_t error_memo_entries = 0;  ///< distinct memoized error functions
     /// Per-stage latency histograms: where sweep requests spend their wall
     /// time. queue_wait is arrival -> worker pickup; evaluate covers the
     /// sweep evaluation (including cache/synthesis); serialize covers

@@ -264,10 +264,6 @@ ServiceStats SweepService::stats() const {
     out.cache_hits = cache.hits;
     out.cache_misses = cache.misses;
     out.cache_entries = cache_.size();
-    const ErrorMemo::Stats memo = error_memo_.stats();
-    out.error_memo_hits = memo.hits;
-    out.error_memo_misses = memo.misses;
-    out.error_memo_entries = memo.entries;
     if (remote_cache_ != nullptr) out.remote_cache = remote_cache_->remote_counters();
     return out;
 }
@@ -396,7 +392,6 @@ void SweepService::run_sweep(const Job& job, double queue_wait_s) {
         // The resident cache — with its remote tier when peers are
         // configured; evaluate_sweep drops it when use_hw_cache is off.
         eval.hw_cache = eval_cache();
-        eval.error_memo = &error_memo_;
         eval.cancel = job.cancel.get();
         if (request.deadline_ms > 0) {
             // The budget runs from arrival, not from here: time spent queued

@@ -1,15 +1,14 @@
-// Long-lived DSE service: one ThreadPool, one CostCache and one ErrorMemo
-// shared across every request.
+// Long-lived DSE service: one ThreadPool and one CostCache shared across
+// every request.
 //
 // SweepService consumes parsed request lines from a bounded MPMC queue and
 // streams NDJSON events to each request's ResponseSink. A fixed set of
 // request workers gives the service bounded request concurrency; each
 // sweep then fans its design points out over the single shared ThreadPool,
 // so total evaluation parallelism stays at the pool size no matter how
-// many requests are in flight. The shared CostCache and ErrorMemo are what
-// make the service worth keeping resident: the second identical request
-// skips synthesis and exhaustive error evaluation entirely (nonzero hit
-// counters, visible via `stats` and `metrics`).
+// many requests are in flight. The shared CostCache is what makes the
+// service worth keeping resident: the second identical request skips
+// synthesis entirely (nonzero hit counters, visible via `stats`).
 //
 // Determinism: a sweep's event stream (accepted, point 0..n-1, summary,
 // [result], done) is byte-identical for a fixed request and pre-request
@@ -37,7 +36,6 @@
 #include <vector>
 
 #include "dse/cost_cache.h"
-#include "dse/error_memo.h"
 #include "dse/remote_cache.h"
 #include "dse/thread_pool.h"
 #include "obs/access_log.h"
@@ -147,8 +145,8 @@ public:
 
 protected:
     /// Evaluates one accepted sweep request. `eval` arrives fully wired —
-    /// shared pool, resident cache (with remote tier), error memo, cancel
-    /// flag, deadline, and the ordered on_point stream — so an override only
+    /// shared pool, resident cache (with remote tier), cancel flag,
+    /// deadline, and the ordered on_point stream — so an override only
     /// decides *where* the points are computed. Everything around the call
     /// (accepted/summary/result/error/done emission, counters, latency) is
     /// shared, which is what keeps a derived service's event stream
@@ -189,9 +187,6 @@ private:
     obs::TraceStore traces_;
     ThreadPool pool_;
     CostCache cache_;
-    /// Exhaustive error results of every request (and of a coordinator's
-    /// local fallback), bounded by the number of exhaustive functions.
-    ErrorMemo error_memo_;
     /// Sharded peer tier over cache_ (null without cache_peers). Sweeps
     /// evaluate through eval_cache(): the remote tier when configured,
     /// plain cache_ otherwise.

@@ -482,43 +482,5 @@ TEST(CoordinatorServiceTest, ExportMatchesPlainServiceByteForByte) {
                  std::string::npos);
 }
 
-TEST(CoordinatorServiceTest, LocalFallbackSharesTheResidentErrorMemo) {
-    // With its only worker dead, the coordinator runs every shard locally
-    // through its own resident ErrorMemo: the width-6 sweep's 10 exhaustive
-    // functions miss once across both requests, and the streams stay
-    // byte-identical to a plain service's.
-    serve::ServiceOptions opts;
-    opts.eval_threads = 2;
-    opts.request_workers = 1;  // the second request starts on a warm memo
-    ClusterOptions cluster;
-    cluster.workers = {"127.0.0.1:1"};  // nothing listens there
-    cluster.shards = 4;
-    cluster.shard_retries = 0;
-    cluster.connect_timeout_ms = 200;
-    CoordinatorService coordinator(opts, cluster);
-    serve::SweepService plain(opts);
-
-    const std::string request = "{\"id\": \"m\", \"spec\": {\"width\": 6}}";
-    std::vector<std::shared_ptr<CollectingSink>> coord_sinks;
-    std::vector<std::shared_ptr<CollectingSink>> plain_sinks;
-    for (int i = 0; i < 2; ++i) {
-        coord_sinks.push_back(std::make_shared<CollectingSink>());
-        plain_sinks.push_back(std::make_shared<CollectingSink>());
-        ASSERT_TRUE(coordinator.submit_line(request, coord_sinks.back()));
-        ASSERT_TRUE(plain.submit_line(request, plain_sinks.back()));
-    }
-    coordinator.shutdown();
-    plain.shutdown();
-    for (int i = 0; i < 2; ++i) {
-        EXPECT_EQ(coord_sinks[i]->lines(), plain_sinks[i]->lines()) << "request " << i;
-    }
-
-    const serve::ServiceStats stats = coordinator.stats();
-    EXPECT_EQ(stats.cluster.local_shards, 8u);
-    EXPECT_EQ(stats.error_memo_misses, 10u);
-    EXPECT_EQ(stats.error_memo_entries, 10u);
-    EXPECT_GE(stats.error_memo_hits, 10u);
-}
-
 }  // namespace
 }  // namespace sdlc::cluster

@@ -22,20 +22,33 @@
 // describe_exhaustive_cutoffs, apply_auto_exhaustive, tally_error_engines)
 // are pure, so they are tested with injected calibrations — no timing
 // dependence.
+//
+// The last section pins that each error function is evaluated once:
+// evaluate_sweep groups a sweep's points by (width, variant, depth) for
+// the exhaustive engines, one group per sampled point, and the grouping
+// changes nothing observable — every point equals a per-point
+// evaluate_point bit for bit (design_point_bits) at any thread count or
+// shard slice, and the stream stays a strict prefix under cancellation.
+// Exact kernels skip evaluation with the metrics the engines would give.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/approx_multiplier.h"
 #include "core/kernels.h"
 #include "core/kernels_sliced.h"
 #include "dse/evaluator.h"
+#include "dse/point_wire.h"
 #include "dse/sweep.h"
 #include "error/calibrate.h"
 #include "error/evaluate.h"
@@ -382,6 +395,233 @@ TEST(EngineSelection, SweepResultsIdenticalWithAndWithoutSliced) {
     EXPECT_EQ(with_stats.engines.sliced + with_stats.engines.scalar,
               without_stats.engines.scalar);
     EXPECT_EQ(with_stats.cutoff_desc, "fixed(10)");
+}
+
+// ---------------------------------------------- each error function once ----
+
+/// The bit-exact rendering of an error result (every double by its bits).
+std::string error_bits(const MultiplierConfig& config, const ErrorMetrics& error) {
+    DesignPoint point;
+    point.config = config;
+    point.error = error;
+    return design_point_bits(point);
+}
+
+/// evaluate_point on every config, rendered bit-exactly: the reference.
+std::vector<std::string> per_point_bits(const SweepSpec& spec, const EvalOptions& opts) {
+    std::vector<std::string> out;
+    for (const MultiplierConfig& config : spec.enumerate()) {
+        out.push_back(design_point_bits(evaluate_point(config, opts)));
+    }
+    return out;
+}
+
+/// Options that sample every width-9 point (the cutoff is pinned below it).
+EvalOptions pinned_sampled() {
+    EvalOptions opts;
+    opts.exhaustive_max_width = 6;
+    opts.samples = 2048;
+    return opts;
+}
+
+TEST(ExactKernelShortcut, EqualsTheExhaustiveEngineBitForBit) {
+    // The accurate kernel compares a*b against a*b: its metrics are what
+    // the accumulator finalizes for an all-exact stream. Depth-1
+    // compression dispatches to the same kernel.
+    EvalOptions opts;
+    opts.evaluate_hardware = false;
+    opts.exhaustive_max_width = 12;
+    for (int w = 2; w <= 12; ++w) {
+        for (const MultiplierConfig config :
+             {MultiplierConfig{w, 1, MultiplierVariant::kAccurate, AccumulationScheme::kWallace},
+              MultiplierConfig{w, 1, MultiplierVariant::kSdlc, AccumulationScheme::kDadda}}) {
+            ASSERT_EQ(select_error_engine(config, opts), ErrorEngine::kExhaustiveScalar);
+            const MultiplyKernel kernel(config);
+            const ErrorMetrics engine = exhaustive_metrics(
+                w, [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); });
+            EXPECT_EQ(error_bits(config, evaluate_point(config, opts).error),
+                      error_bits(config, engine))
+                << ApproxMultiplier(config).describe();
+            EXPECT_EQ(engine.samples, uint64_t{1} << (2 * w));
+        }
+    }
+}
+
+TEST(ExactKernelShortcut, EqualsTheSampledEngineBitForBit) {
+    EvalOptions opts;
+    opts.evaluate_hardware = false;
+    opts.exhaustive_max_width = 8;  // pins width 12 to sampling
+    opts.samples = 5000;
+    const MultiplierConfig config{12, 1, MultiplierVariant::kAccurate,
+                                  AccumulationScheme::kRowRipple};
+    ASSERT_EQ(select_error_engine(config, opts), ErrorEngine::kSampled);
+    const MultiplyKernel kernel(config);
+    const ErrorMetrics engine = sampled_metrics(
+        12, opts.samples, 0x1234, [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); });
+    for (const OperandDistribution dist : {OperandDistribution::kUniform,
+                                           OperandDistribution::kGaussian,
+                                           OperandDistribution::kSparse}) {
+        opts.distribution = dist;
+        EXPECT_EQ(error_bits(config, evaluate_point(config, opts).error),
+                  error_bits(config, engine))
+            << operand_distribution_name(dist);
+    }
+}
+
+TEST(GroupedSweep, EqualsPerPointEvaluationAtAnyThreadCount) {
+    // Every default grid at widths 2..8 (exhaustive) and a pinned-sampled
+    // width-9 grid.
+    std::vector<std::pair<SweepSpec, EvalOptions>> cases;
+    for (int w = 2; w <= 8; ++w) cases.emplace_back(SweepSpec::for_width(w), EvalOptions{});
+    cases.emplace_back(SweepSpec::for_width(9), pinned_sampled());
+    for (const auto& [spec, base] : cases) {
+        const std::vector<std::string> expected = per_point_bits(spec, base);
+        for (const unsigned threads : {1u, 4u}) {
+            EvalOptions opts = base;
+            opts.threads = threads;
+            std::vector<std::string> streamed;
+            opts.on_point = [&](size_t index, const DesignPoint& point) {
+                EXPECT_EQ(index, streamed.size());
+                streamed.push_back(design_point_bits(point));
+            };
+            const std::vector<DesignPoint> points = evaluate_sweep(spec, opts);
+            ASSERT_EQ(points.size(), expected.size());
+            for (size_t i = 0; i < points.size(); ++i) {
+                EXPECT_EQ(design_point_bits(points[i]), expected[i])
+                    << "width " << spec.widths[0] << " threads " << threads << " point " << i;
+            }
+            EXPECT_EQ(streamed, expected) << "width " << spec.widths[0] << " threads " << threads;
+        }
+    }
+}
+
+TEST(GroupedSweep, ShardSlicesThroughAGroupMatchTheWholeSweep) {
+    // Width 6: [0, 4) accurate, then sdlc d2 at [4, 8), d3 at [8, 12), ...
+    // Every slice below starts or ends inside a group.
+    const SweepSpec spec = SweepSpec::for_width(6);
+    const std::vector<std::string> expected = per_point_bits(spec, EvalOptions{});
+    const std::pair<size_t, size_t> slices[] = {{1, 7}, {5, 6}, {6, 23}, {3, 4}, {42, 44}};
+    for (const unsigned threads : {1u, 4u}) {
+        for (const auto& [lo, hi] : slices) {
+            EvalOptions opts;
+            opts.threads = threads;
+            opts.shard_lo = lo;
+            opts.shard_hi = hi;
+            std::vector<size_t> indices;
+            opts.on_point = [&](size_t index, const DesignPoint&) { indices.push_back(index); };
+            const std::vector<DesignPoint> points = evaluate_sweep(spec, opts);
+            ASSERT_EQ(points.size(), hi - lo);
+            for (size_t i = 0; i < points.size(); ++i) {
+                EXPECT_EQ(design_point_bits(points[i]), expected[lo + i])
+                    << "slice [" << lo << ", " << hi << ") threads " << threads;
+                EXPECT_EQ(indices[i], lo + i);
+            }
+        }
+    }
+}
+
+TEST(GroupedSweep, EvaluatesEachErrorFunctionOnce) {
+    EvalOptions opts;
+    opts.threads = 4;
+    opts.evaluate_hardware = false;
+    SweepStats stats;
+    // Width 8: 60 points, 15 functions — accurate, and sdlc and
+    // compensated at depths 2..8 — each shared by the four schemes.
+    (void)evaluate_sweep(SweepSpec::for_width(8), opts, &stats);
+    EXPECT_EQ(stats.points, 60u);
+    EXPECT_EQ(stats.error_evaluations, 15u);
+
+    // A slice through two groups evaluates each of them once.
+    opts.shard_lo = 1;
+    opts.shard_hi = 7;
+    (void)evaluate_sweep(SweepSpec::for_width(6), opts, &stats);
+    EXPECT_EQ(stats.error_evaluations, 2u);
+
+    // A sampled point folds its scheme into its seed: no sharing. Mixed
+    // widths 6 and 9: 11 width-6 functions plus every width-9 point.
+    opts = pinned_sampled();
+    opts.evaluate_hardware = false;
+    SweepSpec spec;
+    spec.widths = {9};
+    (void)evaluate_sweep(spec, opts, &stats);
+    const size_t sampled_points = stats.points;
+    EXPECT_EQ(stats.engines.sampled, sampled_points);
+    EXPECT_EQ(stats.error_evaluations, sampled_points);
+    spec.widths = {6, 9};
+    (void)evaluate_sweep(spec, opts, &stats);
+    EXPECT_EQ(stats.error_evaluations, 11u + sampled_points);
+}
+
+TEST(GroupedSweep, CancelInsideAGroupLeavesAStrictPrefix) {
+    // sdlc + compensated at width 8: points [0, 4) are sdlc d2, one group
+    // on one worker. Cancelling while point 1 streams stops that group
+    // before point 2, so points 2 and 3 are never evaluated and the stream
+    // is exactly the prefix 0..1 at any thread count.
+    SweepSpec spec = SweepSpec::for_width(8);
+    spec.variants = {MultiplierVariant::kSdlc, MultiplierVariant::kCompensated};
+    const std::vector<std::string> expected = per_point_bits(spec, EvalOptions{});
+    for (const unsigned threads : {1u, 4u}) {
+        std::atomic<bool> cancel{false};
+        EvalOptions opts;
+        opts.threads = threads;
+        opts.cancel = &cancel;
+        std::vector<std::string> streamed;
+        opts.on_point = [&](size_t index, const DesignPoint& point) {
+            EXPECT_EQ(index, streamed.size());
+            streamed.push_back(design_point_bits(point));
+            if (index == 1) cancel.store(true);
+        };
+        EXPECT_THROW((void)evaluate_sweep(spec, opts), SweepCancelled);
+        ASSERT_EQ(streamed.size(), 2u) << "threads " << threads;
+        EXPECT_EQ(streamed[0], expected[0]);
+        EXPECT_EQ(streamed[1], expected[1]);
+    }
+}
+
+/// Sink that lets a test block until a request's done event.
+class RecordingSink final : public serve::ResponseSink {
+public:
+    void write_line(const std::string& line) override {
+        std::lock_guard<std::mutex> lock(mutex_);
+        lines_.push_back(line);
+        if (line.find("\"event\": \"done\"") != std::string::npos) done_ = true;
+        cv_.notify_all();
+    }
+
+    std::vector<std::string> wait_done() {
+        std::unique_lock<std::mutex> lock(mutex_);
+        EXPECT_TRUE(cv_.wait_for(lock, std::chrono::seconds(120), [&] { return done_; }));
+        return lines_;
+    }
+
+private:
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    std::vector<std::string> lines_;
+    bool done_ = false;
+};
+
+TEST(GroupedSweep, ConcurrentIdenticalServiceRequestsStreamIdenticalEvents) {
+    // Four request workers share one pool, each running its groups on it;
+    // every stream must carry the same bytes. hw_cache is off so the
+    // summary does not depend on which request warmed the synthesis cache
+    // first.
+    serve::ServiceOptions options;
+    options.request_workers = 4;
+    options.eval_threads = 4;
+    serve::SweepService service(options);
+    const std::string line =
+        "{\"id\": \"w7\", \"spec\": {\"width\": 7}, \"eval\": {\"hw_cache\": false},"
+        " \"export\": true}";
+    std::vector<std::shared_ptr<RecordingSink>> sinks;
+    for (int i = 0; i < 4; ++i) {
+        sinks.push_back(std::make_shared<RecordingSink>());
+        ASSERT_TRUE(service.submit_line(line, sinks.back()));
+    }
+    const std::vector<std::string> first = sinks[0]->wait_done();
+    ASSERT_GT(first.size(), 50u);
+    EXPECT_NE(first.back().find("\"ok\": true"), std::string::npos) << first.back();
+    for (int i = 1; i < 4; ++i) EXPECT_EQ(sinks[i]->wait_done(), first) << "request " << i;
 }
 
 }  // namespace

@@ -178,50 +178,5 @@ TEST(ServeMetrics, MetricsRequestVerbAnswersPrometheusText) {
     ASSERT_NE(requests->find("overloaded"), nullptr);
 }
 
-TEST(ServeMetrics, ErrorMemoCountsFunctionsNotPoints) {
-    // The default width-6 sweep has 44 points and 10 non-accurate error
-    // functions (sdlc and compensated, depths 2..6). The first request
-    // evaluates each function once (10 misses), the second finds all of
-    // them resident (10 hits). Accurate points never reach the memo.
-    SweepService service;
-    const std::string line = "{\"id\": \"w6\", \"spec\": {\"width\": 6}}";
-    for (int i = 0; i < 2; ++i) {
-        auto sink = std::make_shared<RecordingSink>();
-        ASSERT_TRUE(service.submit_line(line, sink));
-        const auto events = sink->wait_done();
-        EXPECT_NE(events.back().find("\"ok\": true"), std::string::npos) << events.back();
-        for (const std::string& event : events) {
-            EXPECT_EQ(event.find("error_memo"), std::string::npos)
-                << "memo bookkeeping leaked into the sweep stream: " << event;
-        }
-    }
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.error_memo_misses, 10u);
-    EXPECT_EQ(stats.error_memo_hits, 10u);
-    EXPECT_EQ(stats.error_memo_entries, 10u);
-
-    const std::string text = prometheus_metrics(stats);
-    std::string error;
-    EXPECT_TRUE(validate_exposition(text, &error)) << error;
-    EXPECT_NE(text.find("sdlc_serve_error_memo_lookups_total{result=\"hit\"} 10\n"),
-              std::string::npos)
-        << text;
-    EXPECT_NE(text.find("sdlc_serve_error_memo_lookups_total{result=\"miss\"} 10\n"),
-              std::string::npos)
-        << text;
-    EXPECT_NE(text.find("sdlc_serve_error_memo_entries 10\n"), std::string::npos) << text;
-
-    // The stats event carries the same counters.
-    auto stats_sink = std::make_shared<RecordingSink>();
-    ASSERT_TRUE(service.submit_line("{\"id\": \"st\", \"type\": \"stats\"}", stats_sink));
-    JsonValue event;
-    ASSERT_TRUE(json_parse(stats_sink->wait_done()[0], event, &error)) << error;
-    const JsonValue* memo = event.find("error_memo");
-    ASSERT_NE(memo, nullptr);
-    EXPECT_EQ(memo->find("hits")->number, 10.0);
-    EXPECT_EQ(memo->find("misses")->number, 10.0);
-    EXPECT_EQ(memo->find("entries")->number, 10.0);
-}
-
 }  // namespace
 }  // namespace sdlc::serve
