@@ -1,20 +1,17 @@
-// Cluster sweep coordinator: 1 -> 2 -> 4 worker scaling, shared cache
-// tier on and off.
+// Cluster sweep coordinator: 1 -> 2 -> 4 worker scaling.
 //
 // Spins in-process serve replicas (SweepService behind real Unix sockets,
 // the same serve_listener lifecycle `serve_tool` uses, one eval thread
-// each so worker count is the parallelism) and times a synthesis-bound
-// width-12 sweep coordinated by cluster::distributed_sweep:
+// each so worker count is the parallelism) and times a width-12 sweep
+// coordinated by cluster::distributed_sweep:
 //
 //   local            single-node, single-thread evaluate_sweep baseline
-//   N workers        fresh (cold) fleet of N replicas, no cache tier —
-//                    pure fan-out scaling of the synthesis cost
-//   N workers +tier  fresh fleet sharing one pre-warmed cache daemon —
-//                    what a fleet pays once any sibling already swept
+//   N workers        fresh (cold) fleet of N replicas — pure fan-out
+//                    scaling of the per-point cost
 //
 // Every coordinated run's export is byte-compared against the single-node
 // reference before timings are reported; the bench fails loudly if any
-// topology changes a byte or if the tier-on runs record no remote hits.
+// topology changes a byte or falls back to local execution.
 //
 //   --quick       fewer repetitions
 //   --json FILE   machine-readable record (BENCH_cluster.json in the repo)
@@ -33,9 +30,7 @@
 #include "dse/evaluator.h"
 #include "dse/export.h"
 #include "dse/pareto.h"
-#include "dse/remote_cache.h"
 #include "dse/sweep.h"
-#include "serve/cache_tier.h"
 #include "serve/service.h"
 #include "serve/socket.h"
 #include "serve/transport.h"
@@ -53,12 +48,10 @@ double seconds_since(Clock::time_point t0) {
 
 /// One in-process serve replica on a Unix socket.
 struct Replica {
-    explicit Replica(const std::string& path, const std::vector<std::string>& cache_peers)
-        : sock_path(path), listener(path) {
+    explicit Replica(const std::string& path) : sock_path(path), listener(path) {
         serve::ServiceOptions opts;
         opts.eval_threads = 1;  // worker count == evaluation parallelism
         opts.request_workers = 2;
-        opts.cache_peers = cache_peers;
         service = std::make_unique<serve::SweepService>(opts);
         thread = std::thread(
             [this] { serve::serve_listener(listener, *service, serve::kDefaultMaxRequestBytes); });
@@ -81,15 +74,13 @@ struct Replica {
 int main(int argc, char** argv) {
     const auto args = bench::BenchArgs::parse(argc, argv);
     bench::print_header(
-        "Cluster sweep — 1/2/4-worker scaling, cache tier on and off",
+        "Cluster sweep — 1/2/4-worker scaling",
         "Sharded enumeration across replicas merges back byte-identical; the fleet is an "
         "accelerator, never a result-changing dependency.");
 
     // Width 12 with a mid-size Monte-Carlo sample count: per-point cost
     // (error eval + synthesis) is large against the per-shard socket
-    // overhead, so fan-out scaling is what gets measured. The tier-on
-    // rows additionally replace each unique design's synthesis with one
-    // daemon round trip.
+    // overhead, so fan-out scaling is what gets measured.
     const SweepSpec spec = SweepSpec::for_width(12);
     const ObjectiveSet objectives = default_objectives();
     const int repetitions = args.quick ? 1 : 3;
@@ -104,6 +95,7 @@ int main(int argc, char** argv) {
     SweepStats ref_stats;
     std::vector<DesignPoint> ref_points;
     double local_seconds = 0.0;
+    size_t unique_designs = 0;
     {
         CostCache cache;
         EvalOptions opts = base_opts();
@@ -112,100 +104,65 @@ int main(int argc, char** argv) {
         const auto t0 = Clock::now();
         ref_points = evaluate_sweep(spec, opts, &ref_stats);
         local_seconds = seconds_since(t0);
+        unique_designs = cache.size();
     }
     const std::string ref_export = dse_to_json(
         ref_points, pareto_analysis(objective_matrix(ref_points, objectives)).rank, ref_stats,
         objectives);
 
-    // Shared cache daemon for the tier-on scenarios, pre-warmed once so
-    // those runs measure the steady state of a fleet whose sibling has
-    // already swept.
-    const std::string cache_sock = "bench_cluster_cache.sock";
-    serve::UnixSocketServer cache_listener(cache_sock);
-    serve::CacheTierService cache_daemon;
-    std::thread cache_thread([&] {
-        serve::serve_listener(cache_listener, cache_daemon, kCacheMaxRequestBytes);
-    });
-    {
-        CostCache local;
-        RemoteCacheOptions ropts;
-        ropts.peers = {"unix:" + cache_sock};
-        RemoteCostCache remote(local, ropts);
-        EvalOptions opts = base_opts();
-        opts.hw_cache = &remote;
-        (void)evaluate_sweep(spec, opts);
-    }
-
     struct Scenario {
         size_t workers;
-        bool tier;
         double seconds;
         serve::ClusterCounters counters;
-        uint64_t remote_hits;
     };
     std::vector<Scenario> scenarios;
     bool ok = true;
 
-    for (const bool tier : {false, true}) {
-        for (const size_t n : {size_t{1}, size_t{2}, size_t{4}}) {
-            std::vector<double> samples;
-            serve::ClusterCounters last_counters;
-            uint64_t remote_hits = 0;
-            for (int rep = 0; rep < repetitions; ++rep) {
-                // A fresh fleet each repetition keeps every run cold on the
-                // workers' local caches; only the daemon stays warm.
-                std::vector<std::string> peers;
-                if (tier) peers.push_back("unix:" + cache_sock);
-                std::vector<std::unique_ptr<Replica>> fleet;
-                cluster::ClusterOptions copts;
-                for (size_t i = 0; i < n; ++i) {
-                    fleet.push_back(std::make_unique<Replica>(
-                        "bench_cluster_w" + std::to_string(i) + ".sock", peers));
-                    copts.workers.push_back(fleet.back()->spec());
-                }
-                copts.shards = 4 * n;  // a few shards per worker for balance
-
-                CostCache coord_cache;
-                EvalOptions opts = base_opts();
-                opts.hw_cache = &coord_cache;
-                SweepStats stats;
-                serve::ClusterCounters counters;
-                const auto t0 = Clock::now();
-                const std::vector<DesignPoint> points =
-                    cluster::distributed_sweep(spec, opts, copts, &stats, &counters);
-                samples.push_back(seconds_since(t0));
-
-                const std::string exported = dse_to_json(
-                    points, pareto_analysis(objective_matrix(points, objectives)).rank, stats,
-                    objectives);
-                if (exported != ref_export) {
-                    std::cerr << "error: " << n << "-worker" << (tier ? " +tier" : "")
-                              << " export differs from the single-node reference\n";
-                    ok = false;
-                }
-                last_counters = counters;
-                uint64_t hits = 0;
-                for (const auto& r : fleet) hits += r->service->stats().remote_cache.hits;
-                remote_hits = hits;
+    for (const size_t n : {size_t{1}, size_t{2}, size_t{4}}) {
+        std::vector<double> samples;
+        serve::ClusterCounters last_counters;
+        for (int rep = 0; rep < repetitions; ++rep) {
+            // A fresh fleet each repetition keeps every run cold on the
+            // workers' caches.
+            std::vector<std::unique_ptr<Replica>> fleet;
+            cluster::ClusterOptions copts;
+            for (size_t i = 0; i < n; ++i) {
+                fleet.push_back(
+                    std::make_unique<Replica>("bench_cluster_w" + std::to_string(i) + ".sock"));
+                copts.workers.push_back(fleet.back()->spec());
             }
-            std::sort(samples.begin(), samples.end());
-            scenarios.push_back({n, tier, samples[samples.size() / 2], last_counters,
-                                 remote_hits});
+            copts.shards = 4 * n;  // a few shards per worker for balance
+
+            CostCache coord_cache;
+            EvalOptions opts = base_opts();
+            opts.hw_cache = &coord_cache;
+            SweepStats stats;
+            serve::ClusterCounters counters;
+            const auto t0 = Clock::now();
+            const std::vector<DesignPoint> points =
+                cluster::distributed_sweep(spec, opts, copts, &stats, &counters);
+            samples.push_back(seconds_since(t0));
+
+            const std::string exported = dse_to_json(
+                points, pareto_analysis(objective_matrix(points, objectives)).rank, stats,
+                objectives);
+            if (exported != ref_export) {
+                std::cerr << "error: " << n
+                          << "-worker export differs from the single-node reference\n";
+                ok = false;
+            }
+            last_counters = counters;
         }
+        std::sort(samples.begin(), samples.end());
+        scenarios.push_back({n, samples[samples.size() / 2], last_counters});
     }
 
-    const CacheDaemonStats daemon_stats = cache_daemon.stats();
-    cache_listener.close();
-    cache_thread.join();
-
-    TextTable table({"scenario", "seconds", "speedup vs local", "remote hits"});
-    table.add_row({"local (1 thread)", fmt_fixed(local_seconds, 4), "-", "-"});
+    TextTable table({"scenario", "seconds", "speedup vs local"});
+    table.add_row({"local (1 thread)", fmt_fixed(local_seconds, 4), "-"});
     for (const auto& s : scenarios) {
-        table.add_row({std::to_string(s.workers) + " worker" + (s.workers > 1 ? "s" : "") +
-                           (s.tier ? " +tier" : ""),
+        table.add_row({std::to_string(s.workers) + " worker" + (s.workers > 1 ? "s" : ""),
                        fmt_fixed(s.seconds, 4),
-                       fmt_fixed(local_seconds / s.seconds, 2) + "x",
-                       s.tier ? std::to_string(s.remote_hits) : std::string("-")});
+                       fmt_fixed(local_seconds / s.seconds, 2) + "x"});
     }
     table.print(std::cout);
     const unsigned cores = std::thread::hardware_concurrency();
@@ -217,28 +174,18 @@ int main(int argc, char** argv) {
 
     // Per-worker counters from the widest cold topology: the shard plan is
     // fixed, so dispatch should spread across the whole fleet.
-    const Scenario& widest = scenarios[2];  // 4 workers, tier off
-    std::cout << "\n4-worker dispatch (cold, tier off):\n";
+    const Scenario& widest = scenarios.back();  // 4 workers
+    std::cout << "\n4-worker dispatch (cold):\n";
     for (const auto& w : widest.counters.workers) {
         std::cout << "  " << w.spec << ": " << w.dispatched << " dispatched, " << w.completed
                   << " completed, " << w.retried << " retried, " << w.bytes << " bytes, "
                   << fmt_fixed(w.busy_seconds, 3) << " s busy\n";
     }
-    std::cout << "daemon: " << daemon_stats.entries << " entries, " << daemon_stats.gets
-              << " gets (" << daemon_stats.hits << " hits), " << daemon_stats.puts
-              << " puts\n";
 
     for (const auto& s : scenarios) {
-        if (s.tier && s.remote_hits == 0) {
-            std::cerr << "error: " << s.workers
-                      << "-worker tier-on run recorded no remote hits — the tier went "
-                         "unused\n";
-            ok = false;
-        }
         if (s.counters.local_shards != 0) {
-            std::cerr << "error: " << s.workers << "-worker"
-                      << (s.tier ? " +tier" : "")
-                      << " run fell back locally on a healthy fleet\n";
+            std::cerr << "error: " << s.workers
+                      << "-worker run fell back locally on a healthy fleet\n";
             ok = false;
         }
     }
@@ -246,7 +193,7 @@ int main(int argc, char** argv) {
     if (args.json_path) {
         std::string json = "{\"bench\": \"cluster_sweep\",\n";
         json += " \"sweep\": {\"width\": 12, \"points\": " + std::to_string(ref_stats.points) +
-                ", \"unique_designs\": " + std::to_string(ref_stats.hw_cache_misses) + "},\n";
+                ", \"unique_designs\": " + std::to_string(unique_designs) + "},\n";
         json += " \"repetitions\": " + std::to_string(repetitions) + ",\n";
         json += " \"hardware_threads\": " +
                 std::to_string(std::thread::hardware_concurrency()) + ",\n";
@@ -256,17 +203,11 @@ int main(int argc, char** argv) {
         for (size_t i = 0; i < scenarios.size(); ++i) {
             const auto& s = scenarios[i];
             json += "  {\"workers\": " + std::to_string(s.workers) +
-                    ", \"cache_tier\": " + (s.tier ? "true" : "false") +
                     ", \"seconds\": " + json_number(s.seconds) +
-                    ", \"speedup\": " + json_number(local_seconds / s.seconds) +
-                    ", \"remote_hits\": " + std::to_string(s.remote_hits) + "}";
+                    ", \"speedup\": " + json_number(local_seconds / s.seconds) + "}";
             json += (i + 1 < scenarios.size()) ? ",\n" : "\n";
         }
-        json += " ],\n";
-        json += " \"daemon\": {\"entries\": " + std::to_string(daemon_stats.entries) +
-                ", \"gets\": " + std::to_string(daemon_stats.gets) + ", \"hits\": " +
-                std::to_string(daemon_stats.hits) + ", \"puts\": " +
-                std::to_string(daemon_stats.puts) + "}\n}\n";
+        json += " ]\n}\n";
         std::ofstream out(*args.json_path, std::ios::binary);
         out << json;
         std::cout << "JSON written to " << *args.json_path << "\n";

@@ -256,11 +256,15 @@ int main(int argc, char** argv) {
     opts.hw_cache = &cache;
     SweepStats cold, warm;
     (void)evaluate_sweep(spec, opts, &cold);
+    const CostCache::Stats after_cold = cache.stats();
     (void)evaluate_sweep(spec, opts, &warm);
-    std::cout << "  cold: " << fmt_fixed(cold.wall_seconds, 3) << " s ("
-              << cold.hw_cache_hits << " hits / " << cold.hw_cache_misses << " misses)\n"
-              << "  warm: " << fmt_fixed(warm.wall_seconds, 3) << " s ("
-              << warm.hw_cache_hits << " hits / " << warm.hw_cache_misses << " misses)\n";
+    const CostCache::Stats after_warm = cache.stats();
+    // Raw counter deltas per run (a racing cold miss may count twice).
+    const uint64_t warm_hits = after_warm.hits - after_cold.hits;
+    std::cout << "  cold: " << fmt_fixed(cold.wall_seconds, 3) << " s (" << after_cold.hits
+              << " hits / " << after_cold.misses << " misses)\n"
+              << "  warm: " << fmt_fixed(warm.wall_seconds, 3) << " s (" << warm_hits
+              << " hits / " << after_warm.misses - after_cold.misses << " misses)\n";
 
     // JSON record for cross-PR tracking.
     const std::string json_path = args.json_path.value_or("BENCH_eval.json");
@@ -295,7 +299,7 @@ int main(int argc, char** argv) {
         f << " ],\n \"default_sweep\": {\"points\": " << cold.points
           << ", \"cold_seconds\": " << json_number(cold.wall_seconds)
           << ", \"warm_seconds\": " << json_number(warm.wall_seconds)
-          << ", \"warm_hits\": " << warm.hw_cache_hits << "}\n}\n";
+          << ", \"warm_hits\": " << warm_hits << "}\n}\n";
     }
     std::cout << "json -> " << json_path << "\n";
 

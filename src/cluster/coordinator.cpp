@@ -14,15 +14,13 @@
 #include <stdexcept>
 #include <thread>
 
-#include "api/approx_multiplier.h"
 #include "cluster/shard_plan.h"
-#include "dse/cost_cache.h"
 #include "dse/point_wire.h"
 #include "dse/shard_merge.h"
-#include "dse/thread_pool.h"
 #include "obs/trace.h"
 #include "serve/socket.h"
 #include "util/json_parse.h"
+#include "util/thread_pool.h"
 
 namespace sdlc::cluster {
 
@@ -38,7 +36,7 @@ constexpr int kTickMs = 200;
 /// bits run ~700 bytes; anything near this cap is a protocol violation.
 constexpr size_t kMaxEventBytes = size_t{1} << 20;
 
-int connect_worker(const CachePeerAddress& addr, int timeout_ms) {
+int connect_worker(const serve::SocketEndpoint& addr, int timeout_ms) {
     try {
         return addr.is_unix
                    ? serve::unix_socket_connect(addr.path_or_host, timeout_ms)
@@ -124,18 +122,17 @@ RetryPolicy ClusterOptions::shard_policy() const noexcept {
 
 std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOptions& eval,
                                            const ClusterOptions& opts, SweepStats* stats,
-                                           serve::ClusterCounters* counters,
-                                           std::unordered_set<uint64_t>* warm_keys) {
+                                           serve::ClusterCounters* counters) {
     const Clock::time_point t0 = Clock::now();
     if (opts.workers.empty()) {
         throw std::invalid_argument("cluster: at least one worker is required");
     }
     if (opts.shards == 0) throw std::invalid_argument("cluster: shard count must be >= 1");
 
-    std::vector<CachePeerAddress> addresses(opts.workers.size());
+    std::vector<serve::SocketEndpoint> addresses(opts.workers.size());
     for (size_t i = 0; i < opts.workers.size(); ++i) {
         std::string err;
-        if (!parse_cache_peer(opts.workers[i], addresses[i], &err)) {
+        if (!serve::parse_endpoint(opts.workers[i], addresses[i], &err)) {
             throw std::invalid_argument("cluster: bad worker spec \"" + opts.workers[i] +
                                         "\": " + err);
         }
@@ -154,21 +151,6 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
         lo = eval.shard_lo;
         hi = eval.shard_hi;
     }
-
-    // Fleet-warm key set *before* this sweep runs: the caller-tracked keys
-    // plus whatever the resident cache already holds. Snapshotted now so a
-    // local fallback filling the cache mid-sweep cannot skew the replay.
-    SynthesisCache* const cache = eval.use_hw_cache ? eval.hw_cache : nullptr;
-    std::unordered_set<uint64_t> warm;
-    const bool want_cache_stats = stats != nullptr && eval.use_hw_cache && eval.evaluate_hardware;
-    if (want_cache_stats) {
-        if (warm_keys != nullptr) warm = *warm_keys;
-        if (cache != nullptr) {
-            for (const uint64_t k : cache->keys()) warm.insert(k);
-        }
-    }
-    const RemoteCacheCounters remote_before =
-        cache != nullptr ? cache->remote_counters() : RemoteCacheCounters{};
 
     const std::vector<IndexRange> plan = plan_shards(lo, hi, opts.shards);
 
@@ -233,12 +215,18 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
     proto.eval.evaluate_hardware = eval.evaluate_hardware;
     proto.eval.use_hw_cache = eval.use_hw_cache;
     proto.eval.use_sliced = eval.use_sliced;
-    // Cutoffs arrive resolved (the service edge resolves before evaluate());
-    // shipping the integers pins every replica to the same engine per point.
-    proto.eval.exhaustive_width_accurate = eval.exhaustive_width_accurate;
-    proto.eval.exhaustive_width_fast2 = eval.exhaustive_width_fast2;
-    proto.eval.exhaustive_width_planned = eval.exhaustive_width_planned;
-    proto.eval.exhaustive_width_sliced = eval.exhaustive_width_sliced;
+    // Cutoffs ship as effective per-path integers: auto cutoffs arrive
+    // resolved (the tool/service edge resolves before evaluate()), and a
+    // fixed cutoff ships as its own width on every path. Either way the
+    // sub-request is pinned, so a replica never re-resolves it against its
+    // own calibration and runs the same engine per point as a local run.
+    const auto effective = [&](int per_path) {
+        return per_path > 0 ? per_path : eval.exhaustive_max_width;
+    };
+    proto.eval.exhaustive_width_accurate = effective(eval.exhaustive_width_accurate);
+    proto.eval.exhaustive_width_fast2 = effective(eval.exhaustive_width_fast2);
+    proto.eval.exhaustive_width_planned = effective(eval.exhaustive_width_planned);
+    proto.eval.exhaustive_width_sliced = effective(eval.exhaustive_width_sliced);
     proto.stream_points = true;
     proto.export_json = false;
     proto.point_bits = true;
@@ -305,8 +293,7 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
                 if (clean && rec != nullptr) {
                     // Harvest the worker's spans off its done event. A
                     // worker runs the plain serve stack, so its own spans
-                    // say "serve"; relabel those as "worker" (cache-daemon
-                    // spans it forwarded keep their tier).
+                    // say "serve"; relabel those as "worker".
                     const JsonValue* spans = event.find("spans");
                     std::vector<obs::Span> harvested;
                     if (spans != nullptr && obs::parse_spans_wire(*spans, harvested)) {
@@ -465,12 +452,12 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
 
     // Local fallback, ascending so the merger keeps streaming a contiguous
     // prefix. Runs through the same evaluate_sweep as any worker — same
-    // bytes no matter who computes a point — on the caller's pool and the
-    // resident cache tier, honoring cancel/deadline like the dispatch did.
+    // bytes no matter who computes a point — on the caller's pool and
+    // resident cache, honoring cancel/deadline like the dispatch did.
     std::sort(d.local.begin(), d.local.end());
     std::optional<ThreadPool> fallback_pool;
     ThreadPool* pool = eval.pool;
-    if (pool == nullptr && (!d.local.empty() || want_cache_stats)) {
+    if (pool == nullptr && !d.local.empty()) {
         fallback_pool.emplace(eval.threads);
         pool = &*fallback_pool;
     }
@@ -514,37 +501,6 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
                                           configs.begin() + static_cast<ptrdiff_t>(hi)),
             eval);
         stats->cutoff_desc = describe_exhaustive_cutoffs(eval);
-        if (want_cache_stats) {
-            // Deterministic cache counters, fleet edition: replay the
-            // shard range's content keys in enumeration order against the
-            // pre-sweep fleet-warm set — exactly what a single-node run
-            // with a cache holding `warm` would have counted.
-            std::vector<uint64_t> keys(hi - lo, 0);
-            parallel_for(*pool, hi - lo, [&](size_t i) {
-                const Netlist net = ApproxMultiplier(configs[lo + i]).build_netlist().net;
-                keys[i] = CostCache::content_key(net, eval.library, eval.synthesis);
-            });
-            std::unordered_set<uint64_t> seen;
-            for (const uint64_t key : keys) {
-                if (warm.count(key) != 0 || !seen.insert(key).second) {
-                    ++stats->hw_cache_hits;
-                } else {
-                    ++stats->hw_cache_misses;
-                }
-            }
-            if (warm_keys != nullptr) {
-                for (const uint64_t key : keys) warm_keys->insert(key);
-            }
-        }
-        if (cache != nullptr) {
-            const RemoteCacheCounters after = cache->remote_counters();
-            stats->remote.enabled = after.enabled;
-            stats->remote.hits = after.hits - remote_before.hits;
-            stats->remote.misses = after.misses - remote_before.misses;
-            stats->remote.errors = after.errors - remote_before.errors;
-            stats->remote.timeouts = after.timeouts - remote_before.timeouts;
-            stats->remote.puts = after.puts - remote_before.puts;
-        }
         stats->wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
     }
     return merger.take();
@@ -557,9 +513,9 @@ CoordinatorService::CoordinatorService(const serve::ServiceOptions& opts, Cluste
     }
     if (cluster_.shards == 0) throw std::invalid_argument("cluster: shard count must be >= 1");
     for (const std::string& spec : cluster_.workers) {
-        CachePeerAddress addr;
+        serve::SocketEndpoint addr;
         std::string err;
-        if (!parse_cache_peer(spec, addr, &err)) {
+        if (!serve::parse_endpoint(spec, addr, &err)) {
             throw std::invalid_argument("cluster: bad worker spec \"" + spec + "\": " + err);
         }
     }
@@ -583,19 +539,13 @@ serve::ServiceStats CoordinatorService::stats() const {
 std::vector<DesignPoint> CoordinatorService::evaluate(const serve::SweepRequest& request,
                                                       EvalOptions& eval, SweepStats& stats) {
     serve::ClusterCounters delta;
-    std::unordered_set<uint64_t> warm;
-    {
-        std::lock_guard<std::mutex> lock(cluster_mutex_);
-        warm = fleet_keys_;
-    }
     const auto merge = [&] {
         std::lock_guard<std::mutex> lock(cluster_mutex_);
         totals_.add(delta);
-        fleet_keys_.insert(warm.begin(), warm.end());
     };
     try {
         std::vector<DesignPoint> points =
-            distributed_sweep(request.spec, eval, cluster_, &stats, &delta, &warm);
+            distributed_sweep(request.spec, eval, cluster_, &stats, &delta);
         merge();
         return points;
     } catch (...) {

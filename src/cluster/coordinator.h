@@ -22,7 +22,6 @@
 
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "dse/evaluator.h"
@@ -33,8 +32,9 @@
 
 namespace sdlc::cluster {
 
-/// Fan-out knobs. `workers` entries use the cache-peer spec grammar
-/// ("unix:PATH" or "HOST:PORT") — one serve replica per entry.
+/// Fan-out knobs. `workers` entries use the endpoint grammar of
+/// serve/socket.h ("unix:PATH" or "HOST:PORT") — one serve replica per
+/// entry.
 struct ClusterOptions {
     std::vector<std::string> workers;
     /// Fixed shard count per sweep. The cut depends only on this and the
@@ -57,8 +57,7 @@ struct ClusterOptions {
 
     /// The shard re-dispatch schedule as a RetryPolicy: shard_retries maps
     /// to the attempt budget (exhausted() == "run it locally"),
-    /// shard_backoff_ms to the delay curve. The same vocabulary the remote
-    /// cache uses for peer cooldowns.
+    /// shard_backoff_ms to the delay curve.
     [[nodiscard]] RetryPolicy shard_policy() const noexcept;
 };
 
@@ -67,16 +66,13 @@ struct ClusterOptions {
 /// enumeration indices, in-order streaming, strict-prefix partial streams
 /// — and returns the merged points. `counters` (when non-null) receives
 /// this sweep's per-worker dispatch/completion/retry/bytes/latency deltas.
-/// `warm_keys` (when non-null) is the set of content keys already resident
-/// fleet-wide before this sweep: it feeds the deterministic cache-stats
-/// replay (stats match a single-node run with that same warm set) and is
-/// updated with the keys this sweep touched. Throws SweepCancelled,
+/// `stats` (when non-null) receives the same request-pure bookkeeping a
+/// single-node evaluate_sweep of the range reports. Throws SweepCancelled,
 /// SweepDeadlineExceeded, std::invalid_argument like evaluate_sweep.
 std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOptions& eval,
                                            const ClusterOptions& opts,
                                            SweepStats* stats = nullptr,
-                                           serve::ClusterCounters* counters = nullptr,
-                                           std::unordered_set<uint64_t>* warm_keys = nullptr);
+                                           serve::ClusterCounters* counters = nullptr);
 
 /// A SweepService whose sweeps run distributed: the protocol, queueing,
 /// cancellation, deadlines and event emission are all inherited — only the
@@ -101,10 +97,6 @@ private:
     const ClusterOptions cluster_;
     mutable std::mutex cluster_mutex_;
     serve::ClusterCounters totals_;
-    /// Content keys any sweep has touched (remote or local): the fleet-wide
-    /// warm set behind the deterministic cache-stats replay, mirroring the
-    /// resident cache a single-node service would have accumulated.
-    std::unordered_set<uint64_t> fleet_keys_;
 };
 
 }  // namespace sdlc::cluster

@@ -41,28 +41,6 @@ SynthesisReport CostCache::get_or_synthesize(const Netlist& net, const CellLibra
     return report;
 }
 
-bool CostCache::lookup(uint64_t key, SynthesisReport& out) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = reports_.find(key);
-    if (it == reports_.end()) {
-        ++misses_;
-        return false;
-    }
-    ++hits_;
-    out = it->second;
-    return true;
-}
-
-void CostCache::insert(uint64_t key, const SynthesisReport& report) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    reports_.emplace(key, report);
-}
-
-bool CostCache::contains(uint64_t key) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return reports_.find(key) != reports_.end();
-}
-
 CostCache::Stats CostCache::stats() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return {hits_, misses_};
@@ -71,14 +49,6 @@ CostCache::Stats CostCache::stats() const {
 size_t CostCache::size() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return reports_.size();
-}
-
-std::vector<uint64_t> CostCache::keys() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<uint64_t> out;
-    out.reserve(reports_.size());
-    for (const auto& [key, report] : reports_) out.push_back(key);
-    return out;
 }
 
 void CostCache::clear() {

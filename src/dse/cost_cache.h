@@ -14,15 +14,14 @@
 // both synthesize, but they produce the identical report (determinism
 // above), so the second insert is a no-op and results never depend on
 // scheduling. The raw hit/miss counters *can* depend on scheduling for the
-// same reason; deterministic per-sweep counts are derived by the Evaluator
-// in sweep order instead (see SweepStats).
+// same reason, so they are metrics (service stats, Prometheus, tool
+// summaries) and never part of a sweep's export.
 #ifndef SDLC_DSE_COST_CACHE_H
 #define SDLC_DSE_COST_CACHE_H
 
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "netlist/netlist.h"
 #include "tech/cell_library.h"
@@ -30,51 +29,8 @@
 
 namespace sdlc {
 
-/// Raw counters of one sweep's traffic against a remote cache tier.
-/// Scheduling-dependent (two workers racing on a key may both query the
-/// peer), so these are observability only: they appear in tool summaries
-/// and service stats, never in exports or deterministic event streams.
-struct RemoteCacheCounters {
-    bool enabled = false;        ///< a remote tier was configured
-    uint64_t hits = 0;           ///< keys served by the primary peer
-    uint64_t misses = 0;         ///< primary answered "not cached"
-    uint64_t errors = 0;         ///< connect/protocol failures (degraded to local)
-    uint64_t timeouts = 0;       ///< peer slower than the budget (degraded to local)
-    uint64_t puts = 0;           ///< reports written back to a peer
-    uint64_t replica_hits = 0;   ///< keys served by a replica after the primary
-                                 ///< missed or failed (replication factor > 1)
-    uint64_t read_repairs = 0;   ///< replica hits written back to a peer that
-                                 ///< had answered miss
-};
-
-/// What the evaluator needs from a synthesis cache: the memo itself plus a
-/// snapshot of the locally memoized keys (for scheduling-independent sweep
-/// statistics). CostCache is the in-process implementation; RemoteCostCache
-/// (remote_cache.h) layers a sharded peer tier in front of one. Every
-/// implementation must return reports bit-identical to synthesize(), so
-/// swapping caches can never change sweep results.
-class SynthesisCache {
-public:
-    virtual ~SynthesisCache() = default;
-
-    /// Returns the cached report for the request's content key, or runs
-    /// synthesize() and memoizes the result.
-    [[nodiscard]] virtual SynthesisReport get_or_synthesize(const Netlist& net,
-                                                            const CellLibrary& lib,
-                                                            const SynthesisOptions& opts) = 0;
-
-    /// Snapshot of the *locally* memoized keys (unordered). The Evaluator
-    /// takes one before a sweep to derive scheduling-independent hit/miss
-    /// counts.
-    [[nodiscard]] virtual std::vector<uint64_t> keys() const = 0;
-
-    /// Remote-tier traffic counters; all-zero/disabled for purely local
-    /// caches.
-    [[nodiscard]] virtual RemoteCacheCounters remote_counters() const { return {}; }
-};
-
 /// Thread-safe memo from content key to SynthesisReport.
-class CostCache final : public SynthesisCache {
+class CostCache {
 public:
     CostCache() = default;
     CostCache(const CostCache&) = delete;
@@ -85,24 +41,10 @@ public:
                                               const SynthesisOptions& opts) noexcept;
 
     /// Returns the cached report for the request's content key, or runs
-    /// synthesize() and memoizes the result.
+    /// synthesize() and memoizes the result. Either way the report is
+    /// bit-identical to synthesize(net, lib, opts).
     [[nodiscard]] SynthesisReport get_or_synthesize(const Netlist& net, const CellLibrary& lib,
-                                                    const SynthesisOptions& opts) override;
-
-    /// Copies the report memoized under `key` into `out`. Counts a raw hit
-    /// or miss exactly like get_or_synthesize, so a tiered cache probing
-    /// the local store first keeps these counters meaning "local lookups
-    /// by result". Returns false when the key is absent — the remote tier
-    /// then decides between peer fetch and synthesis.
-    [[nodiscard]] bool lookup(uint64_t key, SynthesisReport& out);
-
-    /// Memoizes `report` under `key` (no-op if present; determinism makes
-    /// duplicate inserts identical). Used by the remote tier's fill path
-    /// and by the cache daemon's put handler.
-    void insert(uint64_t key, const SynthesisReport& report);
-
-    /// True when `key` is already memoized (does not count as a hit).
-    [[nodiscard]] bool contains(uint64_t key) const;
+                                                    const SynthesisOptions& opts);
 
     /// Raw access counters (see file comment for their determinism caveat).
     struct Stats {
@@ -113,10 +55,6 @@ public:
 
     /// Number of distinct memoized designs.
     [[nodiscard]] size_t size() const;
-
-    /// Snapshot of all memoized keys (unordered). The Evaluator takes one
-    /// before a sweep to derive scheduling-independent hit/miss counts.
-    [[nodiscard]] std::vector<uint64_t> keys() const override;
 
     /// Drops all entries and zeroes the counters.
     void clear();

@@ -4,7 +4,6 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include <algorithm>
 #include <cstring>
@@ -12,11 +11,11 @@
 #include "api/approx_multiplier.h"
 #include "core/kernels.h"
 #include "core/kernels_sliced.h"
-#include "dse/thread_pool.h"
 #include "error/calibrate.h"
 #include "error/evaluate.h"
 #include "error/evaluate_sliced.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace sdlc {
 
@@ -203,18 +202,12 @@ ErrorMetrics evaluate_error(const MultiplierConfig& config, const EvalOptions& o
     return {};
 }
 
-/// Hardware step: builds and synthesizes one configuration. With a cache
-/// in use it reports the hardware content key through `hw_key` (when
-/// non-null) so the sweep can derive deterministic cache statistics.
+/// Hardware step: builds and synthesizes one configuration.
 /// use_hw_cache=false wins over a provided cache (the documented
 /// --no-hw-cache escape hatch).
-SynthesisReport evaluate_hardware(const MultiplierConfig& config, const EvalOptions& opts,
-                                  uint64_t* hw_key) {
+SynthesisReport evaluate_hardware(const MultiplierConfig& config, const EvalOptions& opts) {
     const Netlist net = ApproxMultiplier(config).build_netlist().net;
     if (opts.use_hw_cache && opts.hw_cache != nullptr) {
-        if (hw_key != nullptr) {
-            *hw_key = CostCache::content_key(net, opts.library, opts.synthesis);
-        }
         return opts.hw_cache->get_or_synthesize(net, opts.library, opts.synthesis);
     }
     const obs::TraceBinding& tb = obs::current_binding();
@@ -228,7 +221,7 @@ DesignPoint evaluate_point(const MultiplierConfig& config, const EvalOptions& op
     DesignPoint point;
     point.config = config;
     point.error = evaluate_error(config, opts, nullptr);
-    if (opts.evaluate_hardware) point.hw = evaluate_hardware(config, opts, nullptr);
+    if (opts.evaluate_hardware) point.hw = evaluate_hardware(config, opts);
     return point;
 }
 
@@ -261,12 +254,6 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
         point_opts.hw_cache = &local_cache;
     }
     if (!point_opts.use_hw_cache) point_opts.hw_cache = nullptr;
-
-    // Keys memoized before this sweep started (for shared warm caches).
-    std::unordered_set<uint64_t> warm_keys;
-    if (point_opts.hw_cache != nullptr) {
-        for (const uint64_t k : point_opts.hw_cache->keys()) warm_keys.insert(k);
-    }
 
     // Group the points by error function, in order of first appearance.
     // Exhaustive points of one (width, variant, depth) share their error
@@ -311,14 +298,7 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
     size_t next_emit = 0;
     std::vector<uint8_t> ready(configs.size(), 0);
 
-    // Remote-tier counters are reported as this sweep's delta: snapshot the
-    // raw counters here and subtract after the run.
-    const RemoteCacheCounters remote_before =
-        point_opts.hw_cache != nullptr ? point_opts.hw_cache->remote_counters()
-                                       : RemoteCacheCounters{};
-
     const bool has_deadline = opts.deadline != std::chrono::steady_clock::time_point{};
-    std::vector<uint64_t> hw_keys(configs.size(), 0);
     std::atomic<size_t> error_evaluations{0};
     parallel_for(*pool, groups.size(), [&](size_t g) {
         ErrorMetrics error;
@@ -338,7 +318,7 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
             points[i].config = configs[i];
             points[i].error = error;
             if (point_opts.evaluate_hardware) {
-                points[i].hw = evaluate_hardware(configs[i], point_opts, &hw_keys[i]);
+                points[i].hw = evaluate_hardware(configs[i], point_opts);
             }
             if (opts.on_point) {
                 std::lock_guard<std::mutex> lock(emit_mutex);
@@ -358,27 +338,6 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
         stats->engines = tally_error_engines(configs, point_opts);
         stats->cutoff_desc = describe_exhaustive_cutoffs(point_opts);
         stats->error_evaluations = error_evaluations.load(std::memory_order_relaxed);
-        // Replay the keys in enumeration order: the first sight of a key not
-        // already warm is the miss, every later sight a hit. This is what a
-        // sequential run would count, independent of scheduling.
-        std::unordered_set<uint64_t> seen;
-        for (const uint64_t key : hw_keys) {
-            if (key == 0) continue;
-            if (warm_keys.count(key) != 0 || !seen.insert(key).second) {
-                ++stats->hw_cache_hits;
-            } else {
-                ++stats->hw_cache_misses;
-            }
-        }
-        if (point_opts.hw_cache != nullptr) {
-            const RemoteCacheCounters after = point_opts.hw_cache->remote_counters();
-            stats->remote.enabled = after.enabled;
-            stats->remote.hits = after.hits - remote_before.hits;
-            stats->remote.misses = after.misses - remote_before.misses;
-            stats->remote.errors = after.errors - remote_before.errors;
-            stats->remote.timeouts = after.timeouts - remote_before.timeouts;
-            stats->remote.puts = after.puts - remote_before.puts;
-        }
         stats->wall_seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     }

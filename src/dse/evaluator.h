@@ -89,11 +89,11 @@ struct EvalOptions {
     /// full flow (the `dse_tool --no-hw-cache` escape hatch).
     bool use_hw_cache = true;
     /// Optional externally owned cache to share across sweeps (service
-    /// loops, repeated runs): a plain CostCache or a RemoteCostCache tier.
-    /// When null and use_hw_cache is set, evaluate_sweep creates a
-    /// sweep-local cache. Every SynthesisCache returns reports
-    /// bit-identical to synthesize(), so this knob changes speed only.
-    SynthesisCache* hw_cache = nullptr;
+    /// loops, repeated runs). When null and use_hw_cache is set,
+    /// evaluate_sweep creates a sweep-local cache. The cache returns
+    /// reports bit-identical to synthesize(), so this knob changes speed
+    /// only.
+    CostCache* hw_cache = nullptr;
     /// Optional externally owned worker pool. When null, evaluate_sweep
     /// spins up a sweep-local pool of `threads` workers; a long-lived
     /// service passes its own pool so every request reuses one set of
@@ -193,21 +193,14 @@ struct ErrorEngineTally {
 [[nodiscard]] ErrorEngineTally tally_error_engines(const std::vector<MultiplierConfig>& configs,
                                                    const EvalOptions& opts) noexcept;
 
-/// Per-sweep bookkeeping reported by evaluate_sweep. The cache counts are
-/// derived in enumeration order against a pre-sweep snapshot, so they are
-/// identical for every thread count (unlike CostCache's raw counters,
-/// which can split a racing miss two ways).
+/// Per-sweep bookkeeping reported by evaluate_sweep. Everything but the
+/// wall time is a pure function of the request — never of cache warmth or
+/// scheduling — so the JSON export summary can carry it. Cache hit/miss
+/// counts are metrics: read them from CostCache::stats().
 struct SweepStats {
     size_t points = 0;              ///< evaluated design points
     double wall_seconds = 0.0;      ///< end-to-end sweep wall time
     bool hw_cache_enabled = false;  ///< cache active for this sweep
-    uint64_t hw_cache_hits = 0;     ///< points served from the cache
-    uint64_t hw_cache_misses = 0;   ///< points that ran the synthesis flow
-    /// Remote-tier traffic during this sweep (delta of the cache's raw
-    /// counters). Unlike the fields above these are scheduling-dependent,
-    /// so they feed tool summaries and service stats only — never the JSON
-    /// export or the deterministic sweep event stream.
-    RemoteCacheCounters remote;
     /// Which error engine evaluated how many points, and the cutoff policy
     /// that decided it. Pure replay of select_error_engine over the sweep's
     /// configs (deterministic; safe for the JSON export summary).
@@ -260,8 +253,8 @@ struct DesignPoint {
 /// error function (see the file comment). The result order matches
 /// SweepSpec::enumerate() and the values are bit-identical to evaluate_point
 /// on each config, for any opts.threads, shard range or hardware cache.
-/// When `stats` is non-null it receives the sweep's wall time and cache
-/// counters.
+/// When `stats` is non-null it receives the sweep's wall time and
+/// bookkeeping (see SweepStats).
 [[nodiscard]] std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec,
                                                       const EvalOptions& opts = {},
                                                       SweepStats* stats = nullptr);

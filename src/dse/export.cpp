@@ -101,8 +101,6 @@ void dse_json_stream(const std::vector<DesignPoint>& points, const std::vector<i
     head += ", \"objectives\": " + objective_set_json(objectives);
     head += ", \"hw_cache\": {\"enabled\": ";
     head += stats.hw_cache_enabled ? "true" : "false";
-    head += ", \"hits\": " + std::to_string(stats.hw_cache_hits);
-    head += ", \"misses\": " + std::to_string(stats.hw_cache_misses);
     head += "}, \"error_engines\": {\"sliced\": " + std::to_string(stats.engines.sliced);
     head += ", \"scalar\": " + std::to_string(stats.engines.scalar);
     head += ", \"sampled\": " + std::to_string(stats.engines.sampled);

@@ -40,9 +40,11 @@ void write_dse_csv(const std::string& path, const std::vector<DesignPoint>& poin
 
 /// With sweep stats: renders an object {"summary": {...}, "points": [...]}
 /// whose summary carries the point count, the frontier objective set the
-/// ranks were computed over, and the hardware-cache hit/miss counters.
-/// Wall time is deliberately excluded so two identical sweeps still
-/// produce byte-identical files.
+/// ranks were computed over, whether the hardware cache was on, and the
+/// error-engine tally with its cutoff policy. Everything in it is a pure
+/// function of the request: wall time and cache hit/miss counts are left
+/// out, so two identical sweeps produce byte-identical files however warm
+/// the cache was.
 [[nodiscard]] std::string dse_to_json(const std::vector<DesignPoint>& points,
                                       const std::vector<int>& ranks, const SweepStats& stats,
                                       const ObjectiveSet& objectives = default_objectives());

@@ -4,10 +4,9 @@
 // export must be byte-identical to a single-node run, and the standard
 // point events render doubles with "%.12g" — readable, but lossy. So a
 // shard response carries each point's exact payload out of band: every
-// field crosses the wire as fixed-width IEEE-754 / integer bit patterns
-// (the same idea as cache_wire.h, which ships SynthesisReports between
-// cache daemons this way), and the receiver reconstructs a DesignPoint
-// that is indistinguishable from one evaluated locally.
+// field crosses the wire as fixed-width IEEE-754 / integer bit patterns,
+// and the receiver reconstructs a DesignPoint that is indistinguishable
+// from one evaluated locally.
 //
 // Format: "v1:" followed by 18 concatenated 16-hex-digit groups (one u64
 // each, fixed layout, no separators):

@@ -1,5 +1,5 @@
 // Structured access logging: one JSON line per request, appended to a
-// file shared by every worker of a serve_tool / cache_tool process
+// file shared by every worker of a serve_tool process
 // (`--access-log FILE`). The log is an observability side-channel — it can
 // never affect request handling or response bytes; a write failure is
 // reported once at open time and otherwise ignored.

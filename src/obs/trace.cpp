@@ -213,8 +213,7 @@ std::string chrome_trace_json(const std::vector<TraceTree>& trees) {
         if (tier == "client") return 1;
         if (tier == "serve") return 2;
         if (tier == "worker") return 3;
-        if (tier == "cache") return 4;
-        return 5;
+        return 4;
     };
     std::string out = "{\"traceEvents\": [";
     bool first = true;

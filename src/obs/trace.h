@@ -1,8 +1,8 @@
-// Request-scoped distributed tracing for the serve/cluster/cache tiers.
+// Request-scoped distributed tracing for the serve/cluster tiers.
 //
 // A `TraceContext` (128-bit trace id + 64-bit span id) rides an optional
-// `trace` field on sweep requests, coordinator shard sub-requests and
-// cache_wire get/put lines; each process records named spans into a
+// `trace` field on sweep requests and coordinator shard sub-requests;
+// each process records named spans into a
 // lock-sharded `SpanRecorder` through RAII `ScopedSpan` guards and returns
 // them on existing response lines (a `spans` field on `done`/stats-style
 // events), where the coordinator stitches them into one tree per request.
@@ -58,7 +58,7 @@ struct TraceContext {
 /// is expected and tolerated by the Chrome trace viewer).
 struct Span {
     std::string name;
-    std::string tier;  // process tier: "serve", "worker", "cache", "client"
+    std::string tier;  // process tier: "client", "serve", "worker"
     uint64_t span_id = 0;
     uint64_t parent_id = 0;
     double start_s = 0.0;
@@ -136,9 +136,9 @@ private:
     double start_s_ = 0.0;
 };
 
-/// Thread-local trace binding: lets shared components (CostCache,
-/// RemoteCostCache) record spans for the request currently executing on
-/// this thread without threading a recorder through their interfaces.
+/// Thread-local trace binding: lets shared components (CostCache) record
+/// spans for the request currently executing on this thread without
+/// threading a recorder through their interfaces.
 struct TraceBinding {
     SpanRecorder* recorder = nullptr;
     TraceContext ctx{};

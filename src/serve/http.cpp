@@ -15,6 +15,7 @@
 #include <mutex>
 #include <utility>
 
+#include "serve/service.h"
 #include "serve/transport.h"
 #include "util/json.h"
 
@@ -349,7 +350,7 @@ std::string peer_address(int fd) {
 
 /// Everything one connection handler needs, shared across its requests.
 struct FrontDoor {
-    LineService& service;
+    SweepService& service;
     const HttpOptions& options;
     std::shared_ptr<TokenBucketLimiter> limiter;  // null without quotas
 
@@ -467,9 +468,7 @@ void handle_http_connection(const FrontDoor& door, int fd,
             continue;
         }
 
-        const bool known_path =
-            path == "/metrics" || (path == "/v1/sweep" && opts.enable_sweep);
-        if (!known_path) {
+        if (path != "/metrics" && path != "/v1/sweep") {
             keep_alive = respond(404, head.method, path, "not_found",
                                  error_body(404, "unknown path " + path), keep_alive);
             continue;
@@ -662,7 +661,7 @@ size_t TokenBucketLimiter::size() const {
 
 // --------------------------------------------------------------- listener ----
 
-void serve_http_listener(SocketListener& listener, LineService& service,
+void serve_http_listener(SocketListener& listener, SweepService& service,
                          const HttpOptions& options) {
     FrontDoor door{service, options,
                    options.quota_rps > 0.0

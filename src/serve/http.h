@@ -13,8 +13,8 @@
 //                    what the same requests produce over the line
 //                    transport — HTTP is framing, never content.
 //   GET  /metrics    the existing Prometheus exposition text, so a stock
-//                    Prometheus can scrape serve_tool and cache_tool
-//                    directly (no textfile-collector workaround).
+//                    Prometheus can scrape serve_tool directly (no
+//                    textfile-collector workaround).
 //   GET  /healthz    200 "ok" liveness probe (always unauthenticated).
 //
 // On top of the routes sit two production controls:
@@ -49,10 +49,11 @@
 #include <vector>
 
 #include "obs/access_log.h"
-#include "serve/line_service.h"
 #include "serve/socket.h"
 
 namespace sdlc::serve {
+
+class SweepService;  // serve/service.h
 
 /// Front-door knobs (tool flags map onto these).
 struct HttpOptions {
@@ -72,9 +73,6 @@ struct HttpOptions {
     /// Bucket depth: how many sweeps a client may burst above the steady
     /// rate (0 = same as quota_rps, minimum 1).
     double quota_burst = 0.0;
-    /// Serve POST /v1/sweep (the sweep server). The cache daemon turns
-    /// this off: its HTTP surface is /metrics and /healthz only.
-    bool enable_sweep = true;
     /// Renders the current Prometheus exposition text for GET /metrics.
     /// Unset = /metrics answers 404.
     std::function<std::string()> metrics_fn;
@@ -90,7 +88,7 @@ struct HttpOptions {
 /// Serves HTTP/1.1 on `listener` until the service shuts down. Same
 /// blocking lifecycle contract as serve_listener(): returns only once
 /// every accepted connection is drained and joined.
-void serve_http_listener(SocketListener& listener, LineService& service,
+void serve_http_listener(SocketListener& listener, SweepService& service,
                          const HttpOptions& options);
 
 /// Reads a bearer token from `path` for --auth-token-file: the first line,

@@ -76,36 +76,6 @@ std::string prometheus_metrics(const ServiceStats& stats) {
     gauge(out, p + "hw_cache_entries", "Distinct memoized designs resident in the cache.");
     out += p + "hw_cache_entries " + std::to_string(stats.cache_entries) + "\n";
 
-    counter(out, p + "remote_cache_requests_total",
-            "Remote cache-tier operations by result (zero without --cache-peers).");
-    const struct {
-        const char* result;
-        uint64_t value;
-    } remote[] = {
-        {"hit", stats.remote_cache.hits},
-        {"miss", stats.remote_cache.misses},
-        {"error", stats.remote_cache.errors},
-        {"timeout", stats.remote_cache.timeouts},
-        {"replica_hit", stats.remote_cache.replica_hits},
-    };
-    for (const auto& r : remote) {
-        out += p + "remote_cache_requests_total{result=\"" + r.result + "\"} " +
-               std::to_string(r.value) + "\n";
-    }
-
-    counter(out, p + "remote_cache_puts_total",
-            "Synthesis reports written back to a cache peer.");
-    out += p + "remote_cache_puts_total " + std::to_string(stats.remote_cache.puts) + "\n";
-
-    counter(out, p + "remote_cache_read_repairs_total",
-            "Replica hits written back to a peer that had answered miss.");
-    out += p + "remote_cache_read_repairs_total " +
-           std::to_string(stats.remote_cache.read_repairs) + "\n";
-
-    gauge(out, p + "remote_cache_enabled", "1 when a remote cache tier is configured.");
-    out += p + "remote_cache_enabled " + std::string(stats.remote_cache.enabled ? "1" : "0") +
-           "\n";
-
     gauge(out, p + "queue_depth", "Requests waiting in the bounded queue.");
     out += p + "queue_depth " + std::to_string(stats.queue_depth) + "\n";
 
@@ -275,33 +245,6 @@ bool validate_exposition(const std::string& text, std::string* error) {
     }
     if (samples == 0) return fail("exposition text carries no samples");
     return true;
-}
-
-std::string cache_prometheus_metrics(const CacheDaemonStats& stats) {
-    std::string text;
-    auto sample = [&text](const char* name, const char* type, const std::string& value) {
-        text += "# TYPE ";
-        text += name;
-        text += ' ';
-        text += type;
-        text += '\n';
-        text += name;
-        text += ' ';
-        text += value;
-        text += '\n';
-    };
-    sample("sdlc_cache_entries", "gauge", std::to_string(stats.entries));
-    sample("sdlc_cache_gets_total", "counter", std::to_string(stats.gets));
-    sample("sdlc_cache_hits_total", "counter", std::to_string(stats.hits));
-    sample("sdlc_cache_puts_total", "counter", std::to_string(stats.puts));
-    sample("sdlc_cache_rejected_total", "counter", std::to_string(stats.rejected));
-    sample("sdlc_cache_recovered_entries", "gauge", std::to_string(stats.recovered));
-    sample("sdlc_cache_warm_hits_total", "counter", std::to_string(stats.warm_hits));
-    sample("sdlc_cache_uptime_seconds", "gauge", json_number(stats.uptime_seconds));
-    text += "# TYPE sdlc_cache_build_info gauge\nsdlc_cache_build_info{version=\"";
-    text += kBuildVersion;
-    text += "\"} 1\n";
-    return text;
 }
 
 }  // namespace sdlc::serve

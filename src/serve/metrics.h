@@ -13,7 +13,6 @@
 
 #include <string>
 
-#include "dse/cache_wire.h"
 #include "serve/protocol.h"
 
 namespace sdlc::serve {
@@ -21,17 +20,12 @@ namespace sdlc::serve {
 /// Metric name prefix ("sdlc_serve_").
 inline constexpr const char* kMetricsPrefix = "sdlc_serve_";
 
-/// Build version surfaced as sdlc_serve_build_info{version="..."} (and the
-/// cache daemon's sdlc_cache_build_info). Bumped with the protocol.
-inline constexpr const char* kBuildVersion = "0.8.0";
+/// Build version surfaced as sdlc_serve_build_info{version="..."}. Bumped
+/// with the protocol.
+inline constexpr const char* kBuildVersion = "0.9.0";
 
 /// Renders `stats` as Prometheus text format (trailing newline included).
 [[nodiscard]] std::string prometheus_metrics(const ServiceStats& stats);
-
-/// Renders cache-daemon stats as Prometheus text format (sdlc_cache_*).
-/// Shared by `cache_tool --scrape` and the daemon's GET /metrics so the
-/// two scrape paths can never drift apart.
-[[nodiscard]] std::string cache_prometheus_metrics(const CacheDaemonStats& stats);
 
 /// Structural validator for Prometheus exposition text (version 0.0.4):
 /// every line must be a comment or a `name[{labels}] value` sample with a

@@ -398,8 +398,6 @@ std::string summary_event(const std::string& id, const SweepStats& stats, size_t
     out += ", \"objectives\": " + objective_set_json(objectives);
     out += ", \"hw_cache\": {\"enabled\": ";
     out += stats.hw_cache_enabled ? "true" : "false";
-    out += ", \"hits\": " + std::to_string(stats.hw_cache_hits);
-    out += ", \"misses\": " + std::to_string(stats.hw_cache_misses);
     out += "}}";
     return out;
 }
@@ -462,15 +460,6 @@ std::string stats_event(const std::string& id, const ServiceStats& stats) {
     out += ", \"hw_cache\": {\"hits\": " + std::to_string(stats.cache_hits);
     out += ", \"misses\": " + std::to_string(stats.cache_misses);
     out += ", \"entries\": " + std::to_string(stats.cache_entries);
-    out += "}, \"remote_cache\": {\"enabled\": ";
-    out += stats.remote_cache.enabled ? "true" : "false";
-    out += ", \"hits\": " + std::to_string(stats.remote_cache.hits);
-    out += ", \"misses\": " + std::to_string(stats.remote_cache.misses);
-    out += ", \"errors\": " + std::to_string(stats.remote_cache.errors);
-    out += ", \"timeouts\": " + std::to_string(stats.remote_cache.timeouts);
-    out += ", \"puts\": " + std::to_string(stats.remote_cache.puts);
-    out += ", \"replica_hits\": " + std::to_string(stats.remote_cache.replica_hits);
-    out += ", \"read_repairs\": " + std::to_string(stats.remote_cache.read_repairs);
     out += "}, \"queue_depth\": " + std::to_string(stats.queue_depth);
     out += ", \"in_flight\": " + std::to_string(stats.in_flight);
     out += ", \"busy_seconds\": " + json_number(stats.busy_seconds);

@@ -21,10 +21,11 @@
 //   {"id": "r1", "event": "error", "code": "parse_error", "message": "..."}
 //   {"id": "r1", "event": "done", "ok": true}
 //
-// Sweep events carry no wall-clock fields: for a fixed request and cache
-// state they are byte-identical at any thread count and any request
-// concurrency. Timing and other inherently non-reproducible observability
-// lives in the `stats` event only.
+// Sweep events carry no wall-clock fields and no cache counters: for a
+// fixed request they are byte-identical at any thread count, any request
+// concurrency and any cache warmth. Timing, cache hits and other
+// inherently non-reproducible observability live in the `stats` event
+// only.
 //
 // Parsing is strict — unknown fields, wrong types, duplicate keys and
 // oversized lines are all rejected with a machine-readable error code —
@@ -191,8 +192,6 @@ struct ServiceStats {
     LatencyHistogram queue_wait;
     LatencyHistogram stage_evaluate;
     LatencyHistogram stage_serialize;
-    /// Remote cache-tier traffic (all-zero/disabled without --cache-peers).
-    RemoteCacheCounters remote_cache;
     size_t queue_depth = 0;         ///< requests waiting in the queue
     size_t in_flight = 0;           ///< requests being processed right now
     double busy_seconds = 0.0;      ///< summed sweep wall time

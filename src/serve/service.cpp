@@ -47,13 +47,6 @@ constexpr uint64_t kServeSalt = 0x7365727665ULL;  // "serve"
 SweepService::SweepService(const ServiceOptions& opts)
     : opts_(opts), traces_(opts.trace_capacity), pool_(opts.eval_threads),
       queue_(opts.queue_capacity) {
-    if (!opts_.cache_peers.empty()) {
-        RemoteCacheOptions remote;
-        remote.peers = opts_.cache_peers;
-        remote.timeout_ms = opts_.cache_timeout_ms;
-        remote.replicas = opts_.cache_replicas == 0 ? 1 : opts_.cache_replicas;
-        remote_cache_ = std::make_unique<RemoteCostCache>(cache_, remote);
-    }
     const unsigned workers = opts_.request_workers == 0 ? 1 : opts_.request_workers;
     workers_.reserve(workers);
     for (unsigned i = 0; i < workers; ++i) {
@@ -264,7 +257,6 @@ ServiceStats SweepService::stats() const {
     out.cache_hits = cache.hits;
     out.cache_misses = cache.misses;
     out.cache_entries = cache_.size();
-    if (remote_cache_ != nullptr) out.remote_cache = remote_cache_->remote_counters();
     return out;
 }
 
@@ -389,9 +381,9 @@ void SweepService::run_sweep(const Job& job, double queue_wait_s) {
             apply_auto_exhaustive(eval, request.spec, opts_.exhaustive_budget_ms);
         }
         eval.pool = &pool_;
-        // The resident cache — with its remote tier when peers are
-        // configured; evaluate_sweep drops it when use_hw_cache is off.
-        eval.hw_cache = eval_cache();
+        // The resident cache; evaluate_sweep drops it when use_hw_cache is
+        // off.
+        eval.hw_cache = &cache_;
         eval.cancel = job.cancel.get();
         if (request.deadline_ms > 0) {
             // The budget runs from arrival, not from here: time spent queued

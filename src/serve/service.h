@@ -11,11 +11,11 @@
 // synthesis entirely (nonzero hit counters, visible via `stats`).
 //
 // Determinism: a sweep's event stream (accepted, point 0..n-1, summary,
-// [result], done) is byte-identical for a fixed request and pre-request
-// cache state, at any pool size and any request concurrency — events
-// carry no timestamps and the evaluator streams points in enumeration
-// order. Streams of concurrent requests interleave at line granularity
-// but each request's own subsequence never changes.
+// [result], done) is byte-identical for a fixed request, whatever the
+// cache holds, at any pool size and any request concurrency — events
+// carry no timestamps or cache counters, and the evaluator streams points
+// in enumeration order. Streams of concurrent requests interleave at line
+// granularity but each request's own subsequence never changes.
 //
 // Shutdown is drain-based: a shutdown request (or request_shutdown())
 // closes the queue so no new work is accepted, every already-queued
@@ -36,14 +36,12 @@
 #include <vector>
 
 #include "dse/cost_cache.h"
-#include "dse/remote_cache.h"
-#include "dse/thread_pool.h"
 #include "obs/access_log.h"
 #include "obs/trace.h"
-#include "serve/line_service.h"
 #include "serve/protocol.h"
 #include "serve/request_queue.h"
 #include "serve/sink.h"
+#include "util/thread_pool.h"
 
 namespace sdlc::serve {
 
@@ -61,17 +59,6 @@ struct ServiceOptions {
     /// and a deadline-carrying client learns of the rejection in time to
     /// retry elsewhere.
     bool reject_when_full = false;
-    /// Remote synthesis-cache peers (cache_tool daemons; "unix:PATH" or
-    /// "HOST:PORT"). Empty = local-only caching. With peers, the resident
-    /// CostCache gains a sharded remote tier: local hit -> remote hit ->
-    /// synthesize + write-back, degrading to local-only on peer failure
-    /// without changing any sweep result.
-    std::vector<std::string> cache_peers;
-    int cache_timeout_ms = 250;  ///< per-operation budget against a peer
-    /// Replication factor over the peer ring (RemoteCacheOptions::replicas):
-    /// each key lives on this many distinct peers, so one dead daemon
-    /// degrades to an extra round trip instead of a cold shard.
-    unsigned cache_replicas = 1;
     /// When set, one structured JSON line per request lands here (trace_id,
     /// verb, outcome, queue_wait_s, wall_s, bytes_out, shed/deadline flags).
     std::shared_ptr<obs::AccessLog> access_log;
@@ -94,13 +81,12 @@ struct ServiceOptions {
 /// can swap the evaluation engine (see the protected evaluate() hook) while
 /// inheriting the queue, cancellation, deadline, stats and event-emission
 /// machinery — cluster::CoordinatorService distributes sweeps this way.
-class SweepService : public LineService {
+class SweepService {
 public:
-    /// Throws std::invalid_argument on a malformed cache peer spec.
     explicit SweepService(const ServiceOptions& opts = {});
 
     /// Drains and joins (equivalent to shutdown()).
-    ~SweepService() override;
+    virtual ~SweepService();
 
     SweepService(const SweepService&) = delete;
     SweepService& operator=(const SweepService&) = delete;
@@ -110,10 +96,13 @@ public:
     /// with error + done events. Returns false once the service is
     /// shutting down and the line was rejected (an error event is still
     /// emitted); blocks while the request queue is full.
-    bool submit_line(const std::string& line, std::shared_ptr<ResponseSink> sink) override;
+    bool submit_line(const std::string& line, std::shared_ptr<ResponseSink> sink);
 
-    /// Answers an over-long unterminated line with too_large + done.
-    void reject_oversized_line(ResponseSink& sink) override;
+    /// Answers an over-long unterminated line with too_large + done (the
+    /// transport never got a complete line to hand to submit_line, but
+    /// the protocol still promises a machine-readable rejection before
+    /// the connection drops).
+    void reject_oversized_line(ResponseSink& sink);
 
     /// Enqueues an already-parsed request (in-process embedders: tests,
     /// benches). Same semantics as submit_line.
@@ -125,7 +114,7 @@ public:
 
     /// request_shutdown() plus draining the queue and joining the request
     /// workers. Idempotent; must not be called from a request worker.
-    void shutdown() override;
+    void shutdown();
 
     /// True once a shutdown request was processed or request_shutdown()
     /// called.
@@ -134,7 +123,7 @@ public:
     /// Invoked exactly once when shutdown is first requested — a transport
     /// front-end hooks this to unblock its accept/read loop. Set before
     /// the first request is submitted.
-    void set_on_shutdown(std::function<void()> hook) override;
+    void set_on_shutdown(std::function<void()> hook);
 
     /// Momentary aggregate counters (what the `stats` request reports).
     [[nodiscard]] virtual ServiceStats stats() const;
@@ -145,7 +134,7 @@ public:
 
 protected:
     /// Evaluates one accepted sweep request. `eval` arrives fully wired —
-    /// shared pool, resident cache (with remote tier), cancel flag,
+    /// shared pool, resident cache, cancel flag,
     /// deadline, and the ordered on_point stream — so an override only
     /// decides *where* the points are computed. Everything around the call
     /// (accepted/summary/result/error/done emission, counters, latency) is
@@ -187,16 +176,7 @@ private:
     obs::TraceStore traces_;
     ThreadPool pool_;
     CostCache cache_;
-    /// Sharded peer tier over cache_ (null without cache_peers). Sweeps
-    /// evaluate through eval_cache(): the remote tier when configured,
-    /// plain cache_ otherwise.
-    std::unique_ptr<RemoteCostCache> remote_cache_;
     BoundedQueue<Job> queue_;
-
-    [[nodiscard]] SynthesisCache* eval_cache() noexcept {
-        return remote_cache_ != nullptr ? static_cast<SynthesisCache*>(remote_cache_.get())
-                                        : &cache_;
-    }
 
     mutable std::mutex state_mutex_;
     /// Cancellation flags of queued + running sweeps, by request id. An id

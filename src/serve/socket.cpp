@@ -1,7 +1,5 @@
 #include "serve/socket.h"
 
-#include "serve/fault.h"
-
 #include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
@@ -13,11 +11,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <ctime>
 #include <stdexcept>
-#include <thread>
 
 namespace sdlc::serve {
 
@@ -182,8 +178,8 @@ namespace {
 /// Bounded connect: with timeout_ms >= 0 the socket connects in
 /// non-blocking mode, waits for writability at most timeout_ms, checks
 /// SO_ERROR, and is restored to blocking before returning. A caller that
-/// promises a per-operation budget (the remote cache tier) must not hang
-/// for the kernel's multi-minute connect timeout on a blackholed peer.
+/// promises a connect budget (the cluster coordinator) must not hang for
+/// the kernel's multi-minute connect timeout on a blackholed peer.
 /// Returns false with errno set on failure.
 /// Waits (up to timeout_ms; -1 forever) for an in-progress connect to
 /// resolve, then reports its outcome via SO_ERROR. Shared by the bounded
@@ -320,6 +316,61 @@ bool parse_host_port(const std::string& spec, std::string& host, uint16_t& port,
     return true;
 }
 
+bool parse_endpoint(const std::string& spec, SocketEndpoint& out, std::string* error) {
+    auto fail = [error](const std::string& message) {
+        if (error != nullptr) *error = message;
+        return false;
+    };
+    if (spec.rfind("unix:", 0) == 0) {
+        const std::string path = spec.substr(5);
+        if (path.empty()) return fail("empty unix socket path in \"" + spec + "\"");
+        out = SocketEndpoint{};
+        out.is_unix = true;
+        out.path_or_host = path;
+        return true;
+    }
+    std::string host_port = spec;
+    if (host_port.rfind("tcp:", 0) == 0) host_port = host_port.substr(4);
+    std::string host;
+    uint16_t port = 0;
+    std::string parse_error;
+    // Endpoints are connect targets: port 0 would only fail later at
+    // connect with a bare errno, so reject it here where the flag name is
+    // known.
+    if (!parse_host_port(host_port, host, port, &parse_error, /*allow_port_zero=*/false)) {
+        return fail("endpoint \"" + spec + "\": " + parse_error +
+                    " (expected unix:PATH or HOST:PORT)");
+    }
+    out = SocketEndpoint{};
+    out.is_unix = false;
+    out.path_or_host = host;
+    out.port = port;
+    return true;
+}
+
+bool parse_endpoint_list(const std::string& list, std::vector<std::string>& out,
+                         std::string* error) {
+    out.clear();
+    size_t start = 0;
+    while (start <= list.size()) {
+        const size_t comma = list.find(',', start);
+        const std::string item =
+            list.substr(start, comma == std::string::npos ? comma : comma - start);
+        if (!item.empty()) {
+            SocketEndpoint endpoint;
+            if (!parse_endpoint(item, endpoint, error)) return false;
+            out.push_back(item);
+        }
+        if (comma == std::string::npos) break;
+        start = comma + 1;
+    }
+    if (!list.empty() && out.empty()) {
+        if (error != nullptr) *error = "empty endpoint list";
+        return false;
+    }
+    return true;
+}
+
 bool write_all(int fd, std::string_view data) {
     while (!data.empty()) {
         // MSG_NOSIGNAL: a vanished peer must surface as an error return,
@@ -392,37 +443,9 @@ FdSink::~FdSink() {
     if (owns_fd_) ::close(fd_);
 }
 
-void FdSink::set_fault_injector(std::shared_ptr<FaultInjector> injector) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    injector_ = std::move(injector);
-}
-
 void FdSink::write_line(const std::string& line) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (dropped_) return;
-    if (injector_ != nullptr) {
-        const FaultAction fault = injector_->next_action();
-        if (fault.stall_ms > 0) {
-            // Sleeping under the sink lock is the point: a stalled peer
-            // blocks exactly the writers a real stalled peer would block.
-            std::this_thread::sleep_for(std::chrono::milliseconds(fault.stall_ms));
-        }
-        if (fault.short_write) {
-            (void)write_all(fd_, std::string_view(line).substr(0, line.size() / 2));
-        }
-        if (fault.disconnect || fault.short_write) {
-            // Sever instead of just dropping: the peer must observe the
-            // failure (EOF mid-stream), not merely silence.
-            ::shutdown(fd_, SHUT_RDWR);
-            dropped_ = true;
-            return;
-        }
-        if (fault.corrupt) {
-            const std::string mangled = FaultInjector::corrupt_line(line);
-            if (!write_all(fd_, mangled) || !write_all(fd_, "\n")) dropped_ = true;
-            return;
-        }
-    }
     if (!write_all(fd_, line) || !write_all(fd_, "\n")) dropped_ = true;
 }
 
@@ -430,9 +453,7 @@ void FdSink::write_raw(std::string_view data) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (dropped_) return;
     // Raw frames carry their own framing (HTTP heads, chunk envelopes), so
-    // no newline is appended; they bypass fault injection, which speaks the
-    // line protocol (corrupt_line etc.) and would break HTTP framing in
-    // ways no real network fault produces.
+    // no newline is appended.
     if (!write_all(fd_, data)) dropped_ = true;
 }
 

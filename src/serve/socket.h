@@ -20,12 +20,11 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "serve/sink.h"
 
 namespace sdlc::serve {
-
-class FaultInjector;  // serve/fault.h
 
 /// Accept/close machinery shared by every listening stream socket. The
 /// derived class binds + listens and hands the fd over; accept_client and
@@ -112,11 +111,34 @@ private:
 /// all interfaces when listening). Returns false with a message in *error
 /// (when non-null) on a missing or invalid port. Listener specs keep the
 /// default `allow_port_zero` (port 0 = bind an ephemeral port); specs that
-/// name a peer to *connect to* (--cache-peers, --workers, client --tcp)
-/// pass false, because connecting to port 0 can only fail later with a
-/// bare errno — rejecting it at flag parse is the useful error.
+/// name a peer to *connect to* (--workers, client --tcp) pass false,
+/// because connecting to port 0 can only fail later with a bare errno —
+/// rejecting it at flag parse is the useful error.
 [[nodiscard]] bool parse_host_port(const std::string& spec, std::string& host, uint16_t& port,
                                    std::string* error = nullptr, bool allow_port_zero = true);
+
+/// One parsed connect target: "unix:PATH" or "HOST:PORT" (also accepted
+/// with an explicit "tcp:" prefix).
+struct SocketEndpoint {
+    bool is_unix = false;
+    std::string path_or_host;
+    uint16_t port = 0;
+};
+
+/// Parses an endpoint spec. Returns false with a message in *error (when
+/// non-null) on a malformed spec (empty unix path, missing or invalid
+/// port, port 0) — tools turn that into a usage error before anything
+/// starts running.
+[[nodiscard]] bool parse_endpoint(const std::string& spec, SocketEndpoint& out,
+                                  std::string* error = nullptr);
+
+/// Splits a comma-separated endpoint list (`--workers`) and validates
+/// every spec: empty items are skipped, and a non-empty list yielding no
+/// endpoints is an error. The one parser behind both dse_tool and
+/// serve_tool, so the two tools can never drift on what a list means.
+/// Returns false with a message in *error (when non-null).
+[[nodiscard]] bool parse_endpoint_list(const std::string& list, std::vector<std::string>& out,
+                                       std::string* error = nullptr);
 
 /// Writes all of `data`, retrying short writes. Returns false on error
 /// (e.g. the peer closed the connection).
@@ -177,17 +199,11 @@ public:
 
     void write_line(const std::string& line) override;
 
-    /// Writes `data` exactly as given — no newline framing, no fault
-    /// injection — under the same mutex and dropped-state rules as
-    /// write_line. The HTTP front door uses this for response heads and
+    /// Writes `data` exactly as given — no newline framing — under the
+    /// same mutex and dropped-state rules as write_line. The HTTP front door uses this for response heads and
     /// chunk frames interleaved (atomically, via the mutex) with the
     /// NDJSON event lines streamed by in-flight requests.
     void write_raw(std::string_view data);
-
-    /// Routes every write_line through `injector` (serve/fault.h): stalls,
-    /// corrupts, truncates, or severs per its specs. Deterministic chaos
-    /// for tests; null (the default) means no interference.
-    void set_fault_injector(std::shared_ptr<FaultInjector> injector);
 
     /// True once a write failed and the sink started dropping lines.
     [[nodiscard]] bool dropped() const;
@@ -197,7 +213,6 @@ private:
     int fd_;
     bool owns_fd_;
     bool dropped_ = false;
-    std::shared_ptr<FaultInjector> injector_;
 };
 
 }  // namespace sdlc::serve

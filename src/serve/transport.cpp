@@ -8,9 +8,11 @@
 #include <utility>
 #include <vector>
 
+#include "serve/service.h"
+
 namespace sdlc::serve {
 
-void serve_connection_loop(SocketListener& listener, LineService& service,
+void serve_connection_loop(SocketListener& listener, SweepService& service,
                            const ConnectionHandler& handler, bool install_shutdown_hook) {
     // A processed shutdown request must unblock the accept loop below.
     if (install_shutdown_hook) {
@@ -67,14 +69,12 @@ void serve_connection_loop(SocketListener& listener, LineService& service,
     connections.clear();
 }
 
-void serve_listener(SocketListener& listener, LineService& service, size_t max_request_bytes,
-                    std::shared_ptr<FaultInjector> fault_injector,
+void serve_listener(SocketListener& listener, SweepService& service, size_t max_request_bytes,
                     bool install_shutdown_hook) {
     serve_connection_loop(
         listener, service,
-        [&service, fault_injector = std::move(fault_injector),
-         max_line = max_request_bytes + 1](int fd, const std::shared_ptr<FdSink>& sink) {
-            if (fault_injector != nullptr) sink->set_fault_injector(fault_injector);
+        [&service, max_line = max_request_bytes + 1](int fd,
+                                                     const std::shared_ptr<FdSink>& sink) {
             LineReader reader(fd, max_line);
             std::string line;
             while (reader.next(line)) {

@@ -2,9 +2,9 @@
 // TCP): accept connections, read request lines, stream response events.
 //
 // serve_listener() owns the lifecycle that used to live in serve_tool's
-// socket mode and is now common to both transports, to every LineService
-// implementation (the sweep server and the cache daemon), and to
-// in-process tests: one reader thread per connection feeding the service,
+// socket mode and is now common to both transports, to the sweep server
+// and its cluster coordinator, and to in-process tests: one reader thread
+// per connection feeding the service,
 // one FdSink per connection owning the fd (shared with in-flight requests,
 // so the descriptor closes exactly when the last response line has been
 // written or dropped), periodic reaping of finished connections on the
@@ -19,12 +19,11 @@
 #include <functional>
 #include <memory>
 
-#include "serve/line_service.h"
 #include "serve/socket.h"
 
 namespace sdlc::serve {
 
-class FaultInjector;  // serve/fault.h
+class SweepService;  // serve/service.h
 
 /// Per-connection protocol driver run on the connection's reader thread.
 /// The sink shares ownership of `fd` (it closes when the last reference —
@@ -39,9 +38,9 @@ using ConnectionHandler = std::function<void(int fd, const std::shared_ptr<FdSin
 /// shutdown(SHUT_RD) and joins everything before returning.
 /// `install_shutdown_hook` wires service.on_shutdown to close the
 /// listener; a tool serving one service on several listeners passes false
-/// and installs one combined hook itself (LineService holds a single
+/// and installs one combined hook itself (SweepService holds a single
 /// hook — a second install would silently drop the first listener's).
-void serve_connection_loop(SocketListener& listener, LineService& service,
+void serve_connection_loop(SocketListener& listener, SweepService& service,
                            const ConnectionHandler& handler, bool install_shutdown_hook);
 
 /// Serves the NDJSON line protocol on `listener` until the service shuts
@@ -49,12 +48,9 @@ void serve_connection_loop(SocketListener& listener, LineService& service,
 /// another thread). Blocks until every accepted connection is drained and
 /// joined. `max_request_bytes` must mirror the service's request-size cap
 /// (it bounds the per-connection LineReader so a peer streaming bytes
-/// without a newline cannot grow the buffer without limit). A non-null
-/// `fault_injector` is installed on every connection's sink (deterministic
-/// chaos for tests; see serve/fault.h). See serve_connection_loop for
-/// `install_shutdown_hook`.
-void serve_listener(SocketListener& listener, LineService& service, size_t max_request_bytes,
-                    std::shared_ptr<FaultInjector> fault_injector = nullptr,
+/// without a newline cannot grow the buffer without limit). See
+/// serve_connection_loop for `install_shutdown_hook`.
+void serve_listener(SocketListener& listener, SweepService& service, size_t max_request_bytes,
                     bool install_shutdown_hook = true);
 
 }  // namespace sdlc::serve

@@ -1,7 +1,6 @@
-// Unified retry/backoff vocabulary shared by every client that talks to a
-// peer which can die: the remote synthesis cache (peer cooldowns), the
-// cluster coordinator (shard redispatch), and serve clients. One tested
-// policy instead of three ad-hoc cooldown constants.
+// Retry/backoff vocabulary for clients that talk to a peer which can die:
+// the cluster coordinator uses it for shard redispatch. One tested policy
+// instead of ad-hoc cooldown constants.
 //
 // Everything here is deterministic: jitter comes from a splitmix64 hash of
 // (seed, attempt), not a PRNG, so two runs with the same topology make the

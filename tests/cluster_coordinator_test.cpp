@@ -13,7 +13,6 @@
 #include <random>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "cluster/coordinator.h"
@@ -29,6 +28,7 @@
 #include "serve/service.h"
 #include "serve/socket.h"
 #include "serve/transport.h"
+#include "util/json_parse.h"
 
 namespace sdlc::cluster {
 namespace {
@@ -335,6 +335,25 @@ TEST(DistributedSweepTest, ShardRestrictedDistributedSweepMatchesSlice) {
     }
 }
 
+TEST(DistributedSweepTest, FixedCutoffIsNotPromotedOnReplicas) {
+    // Replicas auto-resolve unpinned requests (the serve default). A sweep
+    // run under the fixed cutoff must stay sampled above it on them too, so
+    // the merged points match the single-node fixed-cutoff run.
+    Worker w1;
+    SweepSpec spec = SweepSpec::for_width(12);
+    spec.variants = {MultiplierVariant::kSdlc};
+    spec.schemes = {AccumulationScheme::kRowRipple};
+    spec.min_depth = 2;
+    spec.max_depth = 3;
+    EvalOptions eval;
+    eval.threads = 2;
+    eval.samples = 4096;
+    const std::vector<DesignPoint> local = evaluate_sweep(spec, eval);
+    ClusterOptions cluster;
+    cluster.workers = {w1.spec()};
+    EXPECT_TRUE(points_identical(local, distributed_sweep(spec, eval, cluster)));
+}
+
 TEST(DistributedSweepTest, DeadWorkersFallBackLocallyWithSameBytes) {
     const SweepSpec spec;
     EvalOptions eval;
@@ -375,31 +394,6 @@ TEST(DistributedSweepTest, DeadWorkerInListRetriesOnSurvivor) {
     EXPECT_EQ(counters.workers.at(0).completed, 6u);
     EXPECT_EQ(counters.workers.at(1).completed, 0u);
     EXPECT_EQ(counters.local_shards, 0u);
-}
-
-TEST(DistributedSweepTest, DeterministicCacheStatsMatchSingleNode) {
-    Worker w1;
-    const SweepSpec spec;
-    EvalOptions eval;
-    eval.threads = 2;
-    SweepStats local_stats;
-    (void)evaluate_sweep(spec, eval, &local_stats);
-
-    ClusterOptions cluster;
-    cluster.workers = {w1.spec()};
-    SweepStats cold;
-    std::unordered_set<uint64_t> warm_keys;
-    (void)distributed_sweep(spec, eval, cluster, &cold, nullptr, &warm_keys);
-    EXPECT_EQ(cold.hw_cache_hits, local_stats.hw_cache_hits);
-    EXPECT_EQ(cold.hw_cache_misses, local_stats.hw_cache_misses);
-    EXPECT_TRUE(cold.hw_cache_enabled);
-
-    // Run 2 with the tracked keys: everything warm, exactly like a repeat
-    // run against a shared local cache.
-    SweepStats warm;
-    (void)distributed_sweep(spec, eval, cluster, &warm, nullptr, &warm_keys);
-    EXPECT_EQ(warm.hw_cache_misses, 0u);
-    EXPECT_EQ(warm.hw_cache_hits, cold.hw_cache_hits + cold.hw_cache_misses);
 }
 
 TEST(DistributedSweepTest, CancelAborts) {
@@ -480,6 +474,55 @@ TEST(CoordinatorServiceTest, ExportMatchesPlainServiceByteForByte) {
     EXPECT_EQ(completed, 4u);
     EXPECT_FALSE(serve::prometheus_metrics(stats).find("cluster_enabled 1") ==
                  std::string::npos);
+}
+
+/// The `result` payloads (dse_json exports) among collected event lines.
+std::vector<std::string> result_payloads(const std::vector<std::string>& lines) {
+    std::vector<std::string> out;
+    for (const std::string& line : lines) {
+        JsonValue event;
+        if (!json_parse(line, event) || !event.is_object()) continue;
+        const JsonValue* kind = event.find("event");
+        const JsonValue* data = event.find("data");
+        if (kind != nullptr && kind->is_string() && kind->string == "result" &&
+            data != nullptr && data->is_string()) {
+            out.push_back(data->string);
+        }
+    }
+    return out;
+}
+
+TEST(CoordinatorServiceTest, ColdAndRepeatSweepsExportSingleNodeBytes) {
+    Worker w1;
+    serve::ServiceOptions opts;
+    opts.eval_threads = 2;
+    opts.request_workers = 1;  // the repeat runs after the cold sweep, warm
+    ClusterOptions cluster;
+    cluster.workers = {w1.spec()};
+    cluster.shards = 4;
+    CoordinatorService coordinator(opts, cluster);
+
+    const std::string request =
+        "{\"id\": \"e\", \"spec\": {\"width\": 6}, \"export\": true}";
+    const auto coord_sink = std::make_shared<CollectingSink>();
+    ASSERT_TRUE(coordinator.submit_line(request, coord_sink));
+    ASSERT_TRUE(coordinator.submit_line(request, coord_sink));
+
+    serve::SweepService single(opts);
+    const auto single_sink = std::make_shared<CollectingSink>();
+    ASSERT_TRUE(single.submit_line(request, single_sink));
+
+    coordinator.shutdown();
+    single.shutdown();
+    const std::vector<std::string> reference = result_payloads(single_sink->lines());
+    ASSERT_EQ(reference.size(), 1u);
+    // The repeat meets warm worker and coordinator caches; the export is a
+    // pure function of the request all the same.
+    const std::vector<std::string> exports = result_payloads(coord_sink->lines());
+    ASSERT_EQ(exports.size(), 2u);
+    EXPECT_EQ(exports[0], reference[0]);
+    EXPECT_EQ(exports[1], reference[0]);
+    EXPECT_EQ(coordinator.stats().cluster.sweeps, 2u);
 }
 
 }  // namespace

@@ -9,12 +9,11 @@
 #   - a slow worker (a stalling endpoint) forcing shard-timeout retries
 # Every topology must reproduce `dse_tool --json` exactly and exit 0; the
 # worker fleet is an accelerator, never a result-changing dependency.
-# Usage: cluster_topology.sh /path/to/dse_tool /path/to/serve_tool /path/to/cache_tool
+# Usage: cluster_topology.sh /path/to/dse_tool /path/to/serve_tool
 set -u
 
-dse="${1:?usage: cluster_topology.sh dse_tool serve_tool cache_tool}"
-serve="${2:?usage: cluster_topology.sh dse_tool serve_tool cache_tool}"
-cache="${3:?usage: cluster_topology.sh dse_tool serve_tool cache_tool}"
+dse="${1:?usage: cluster_topology.sh dse_tool serve_tool}"
+serve="${2:?usage: cluster_topology.sh dse_tool serve_tool}"
 workdir="$(mktemp -d)"
 cleanup() {
     # shellcheck disable=SC2046
@@ -95,7 +94,8 @@ local_shards=$(cluster_field three.txt local)
 check_identical "3 workers reordered" reorder.json
 
 # A second (warm) run against the same fleet also matches the single-node
-# warm run's export: the deterministic cache counters replay fleet-wide.
+# warm run's export: exports carry no cache counters, so warmth never
+# shows in the bytes.
 "$dse" $SWEEP --json ref_warm.json --repeat 2 >/dev/null \
     || fail "single-node repeat sweep failed"
 "$dse" $SWEEP --workers "$WORKERS" --json warm.json --repeat 2 >warm.txt \
@@ -136,10 +136,18 @@ completed=$(cluster_field deadone.txt completed)
 [ "${completed:-0}" -gt 0 ] || fail "dead-worker run completed no shards"
 
 # ---- slow worker: shard timeouts retry on the healthy peer -----------------
-# A cache daemon that sleeps 2 s before answering anything stands in for a
-# stalled replica: it accepts the connection, then produces no bytes, which
-# must trip the read-silence budget and requeue the shard.
-"$cache" --listen slow.sock --delay-ms 2000 2>/dev/null &
+# A listener that accepts connections and never writes stands in for a
+# stalled replica: it produces no bytes, which must trip the read-silence
+# budget and requeue the shard.
+python3 - slow.sock <<'PY' 2>/dev/null &
+import socket, sys
+srv = socket.socket(socket.AF_UNIX)
+srv.bind(sys.argv[1])
+srv.listen(16)
+held = []
+while True:
+    held.append(srv.accept()[0])  # hold the connection open, never answer
+PY
 wait_for_socket slow.sock
 "$dse" $SWEEP --workers "unix:w1.sock,unix:slow.sock" --shard-timeout-ms 100 \
     --json slow.json >slow.txt || fail "slow-worker sweep failed"

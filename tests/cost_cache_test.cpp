@@ -1,6 +1,8 @@
 // Tests for the content-keyed synthesis cache: structural hashing, memo
 // behavior, and the determinism contract of cached sweeps (identical
-// results cache on/off, cold/warm, at any thread count).
+// results cache on/off, cold/warm, at any thread count). Cache hit/miss
+// counts are metrics read from CostCache::stats(); sweep exports never
+// carry them, so a warm export equals the cold one byte for byte.
 #include <gtest/gtest.h>
 
 #include "api/approx_multiplier.h"
@@ -70,7 +72,6 @@ TEST(CostCache, SecondLookupIsAHit) {
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_TRUE(cache.contains(CostCache::content_key(net, lib, opts)));
     cache.clear();
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.stats().hits, 0u);
@@ -99,17 +100,22 @@ TEST(CostCache, MatchesDirectSynthesis) {
 // ------------------------------------------------------------ cached sweeps ----
 
 TEST(CachedSweep, CacheOnAndOffProduceIdenticalReports) {
+    CostCache on_cache;
+    CostCache off_cache;
     EvalOptions cached;
+    cached.hw_cache = &on_cache;
     EvalOptions uncached;
-    uncached.use_hw_cache = false;
+    uncached.hw_cache = &off_cache;
+    uncached.use_hw_cache = false;  // wins over a provided cache
     SweepStats cached_stats, uncached_stats;
     const auto a = evaluate_sweep(small_spec(), cached, &cached_stats);
     const auto b = evaluate_sweep(small_spec(), uncached, &uncached_stats);
     expect_same_hw(a, b);
     EXPECT_TRUE(cached_stats.hw_cache_enabled);
     EXPECT_FALSE(uncached_stats.hw_cache_enabled);
-    EXPECT_EQ(cached_stats.hw_cache_hits + cached_stats.hw_cache_misses, a.size());
-    EXPECT_EQ(uncached_stats.hw_cache_hits + uncached_stats.hw_cache_misses, 0u);
+    EXPECT_EQ(on_cache.stats().hits + on_cache.stats().misses, a.size());
+    EXPECT_EQ(off_cache.stats().hits + off_cache.stats().misses, 0u);
+    EXPECT_EQ(off_cache.size(), 0u);
 }
 
 TEST(CachedSweep, WarmRunHitsForEveryPointAndReproduces) {
@@ -118,11 +124,19 @@ TEST(CachedSweep, WarmRunHitsForEveryPointAndReproduces) {
     opts.hw_cache = &cache;
     SweepStats cold, warm;
     const auto first = evaluate_sweep(small_spec(), opts, &cold);
+    const CostCache::Stats after_cold = cache.stats();
     const auto second = evaluate_sweep(small_spec(), opts, &warm);
+    const CostCache::Stats after_warm = cache.stats();
     expect_same_hw(first, second);
-    EXPECT_EQ(cold.hw_cache_misses, cache.size());
-    EXPECT_EQ(warm.hw_cache_hits, second.size()) << "warm run must be all hits";
-    EXPECT_EQ(warm.hw_cache_misses, 0u);
+    // Two workers racing on one key may both miss, so a cold run can count
+    // more misses than it memoizes — but never fewer.
+    EXPECT_EQ(after_cold.hits + after_cold.misses, first.size());
+    EXPECT_GE(after_cold.misses, cache.size());
+    EXPECT_EQ(after_warm.hits - after_cold.hits, second.size()) << "warm run must be all hits";
+    EXPECT_EQ(after_warm.misses, after_cold.misses);
+    // The export is a pure function of the request: cache warmth shows up
+    // in the raw counters above, never in the bytes.
+    EXPECT_EQ(dse_to_json(first, {}, cold), dse_to_json(second, {}, warm));
 }
 
 TEST(CachedSweep, StatsAreThreadCountIndependent) {
@@ -131,34 +145,35 @@ TEST(CachedSweep, StatsAreThreadCountIndependent) {
     EvalOptions many;
     many.threads = 4;
     SweepStats s1, s4;
-    (void)evaluate_sweep(small_spec(), one, &s1);
-    (void)evaluate_sweep(small_spec(), many, &s4);
-    EXPECT_EQ(s1.hw_cache_hits, s4.hw_cache_hits);
-    EXPECT_EQ(s1.hw_cache_misses, s4.hw_cache_misses);
+    const auto a = evaluate_sweep(small_spec(), one, &s1);
+    const auto b = evaluate_sweep(small_spec(), many, &s4);
     EXPECT_EQ(s1.points, s4.points);
+    EXPECT_EQ(dse_to_json(a, {}, s1), dse_to_json(b, {}, s4));
 }
 
 TEST(CachedSweep, ErrorOnlySweepCountsNoCacheTraffic) {
+    CostCache cache;
     EvalOptions opts;
+    opts.hw_cache = &cache;
     opts.evaluate_hardware = false;
     SweepStats stats;
     (void)evaluate_sweep(small_spec(), opts, &stats);
-    EXPECT_EQ(stats.hw_cache_hits, 0u);
-    EXPECT_EQ(stats.hw_cache_misses, 0u);
+    EXPECT_EQ(cache.stats().hits, 0u);
+    EXPECT_EQ(cache.stats().misses, 0u);
+    EXPECT_EQ(cache.size(), 0u);
 }
 
 // ------------------------------------------------------------ JSON summary ----
 
-TEST(ExportSummary, JsonCarriesCacheCounters) {
+TEST(ExportSummary, JsonCarriesCacheFlagButNoCounters) {
     SweepStats stats;
     const auto points = evaluate_sweep(small_spec(), EvalOptions{}, &stats);
     const std::string json = dse_to_json(points, {}, stats);
     EXPECT_NE(json.find("\"summary\""), std::string::npos);
-    EXPECT_NE(json.find("\"hw_cache\""), std::string::npos);
-    EXPECT_NE(json.find("\"hits\": " + std::to_string(stats.hw_cache_hits)),
-              std::string::npos);
-    EXPECT_NE(json.find("\"misses\": " + std::to_string(stats.hw_cache_misses)),
-              std::string::npos);
+    EXPECT_NE(json.find("\"hw_cache\": {\"enabled\": true}"), std::string::npos);
+    EXPECT_NE(json.find("\"error_engines\""), std::string::npos);
+    EXPECT_EQ(json.find("\"hits\""), std::string::npos);
+    EXPECT_EQ(json.find("\"misses\""), std::string::npos);
     EXPECT_NE(json.find("\"points\""), std::string::npos);
 }
 

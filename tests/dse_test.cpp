@@ -11,7 +11,7 @@
 #include "dse/export.h"
 #include "dse/pareto.h"
 #include "dse/sweep.h"
-#include "dse/thread_pool.h"
+#include "util/thread_pool.h"
 
 namespace sdlc {
 namespace {

@@ -6,12 +6,10 @@
 // generator intended (cross-checked through util/json_parse).
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <iterator>
 #include <string>
 #include <vector>
 
-#include "dse/cache_wire.h"
 #include "serve/protocol.h"
 #include "util/json_parse.h"
 #include "util/rng.h"
@@ -293,143 +291,6 @@ TEST(ProtocolFuzz, GeneratedValidRequestsRoundTrip) {
         JsonValue doc;
         std::string parse_error;
         EXPECT_TRUE(json_parse(line, doc, &parse_error)) << parse_error;
-    }
-}
-
-// ------------------------------------------------- cache-tier protocol ----
-//
-// The cache daemon's wire format gets the same treatment as the sweep
-// protocol: whatever arrives, parse_cache_request / parse_cache_response
-// must never crash and must classify every rejection, and generated valid
-// lines must round-trip bit-exactly (reports cross the wire as IEEE-754
-// bit patterns, so "bit-exact" is literal).
-
-void cache_fuzz_one(const std::string& line, size_t max_bytes = kCacheMaxRequestBytes) {
-    CacheRequest request;
-    CacheWireError err;
-    if (!parse_cache_request(line, max_bytes, request, err)) {
-        EXPECT_TRUE(err.code == "too_large" || err.code == "parse_error" ||
-                    err.code == "invalid_request")
-            << "unclassified rejection code \"" << err.code
-            << "\" for: " << line.substr(0, 120);
-        EXPECT_FALSE(err.message.empty()) << line.substr(0, 120);
-    }
-    // The response decoder must also survive arbitrary bytes (a broken or
-    // malicious daemon): any return value is fine, crashing is not.
-    CacheResponse response;
-    std::string error;
-    (void)parse_cache_response(line, response, &error);
-}
-
-TEST(CacheProtocolFuzz, RandomBytesNeverCrash) {
-    Xoshiro256 rng(0xcac4ed01u);
-    for (int round = 0; round < 2000; ++round) {
-        const size_t length = rng.below(256);
-        std::string line;
-        line.reserve(length);
-        for (size_t i = 0; i < length; ++i) {
-            line.push_back(static_cast<char>(rng.below(256)));
-        }
-        cache_fuzz_one(line);
-    }
-}
-
-TEST(CacheProtocolFuzz, RandomJsonLikeTokensNeverCrash) {
-    static const char* kTokens[] = {
-        "{",        "}",          "[",         "]",        ":",      ",",
-        "\"id\"",   "\"g1\"",     "\"op\"",    "\"get\"",  "\"put\"", "\"stats\"",
-        "\"shutdown\"", "\"key\"", "\"0x5cf1d3a9b2e47086\"", "\"report\"",
-        "\"cells\"", "\"depth\"", "\"area_um2\"", "\"delay_ps\"",
-        "\"dynamic_energy_fj\"",   "\"dynamic_power_uw\"", "\"leakage_nw\"",
-        "\"energy_fj\"", "\"ok\"", "\"hit\"",   "\"stored\"", "0", "17", "-1",
-        "1e999",    "null",       "true",      "false",    " ",      "\\",
-        "\"0xzz\"", "\"0x\"",
-    };
-    Xoshiro256 rng(0xcac4ed02u);
-    for (int round = 0; round < 2000; ++round) {
-        const size_t tokens = 1 + rng.below(40);
-        std::string line;
-        for (size_t i = 0; i < tokens; ++i) {
-            line += kTokens[rng.below(std::size(kTokens))];
-        }
-        cache_fuzz_one(line);
-    }
-}
-
-TEST(CacheProtocolFuzz, MutatedValidRequestsNeverCrash) {
-    SynthesisReport report;
-    report.cells = 120;
-    report.depth = 9;
-    report.area_um2 = 512.25;
-    report.delay_ps = 1234.5;
-    report.dynamic_energy_fj = 17.0 / 3.0;
-    report.dynamic_power_uw = 1e-3;
-    report.leakage_nw = 2.5;
-    report.energy_fj = 40.875;
-    const std::string seedline = cache_put_line("r1", 0x5cf1d3a9b2e47086ull, report);
-    Xoshiro256 rng(0xcac4ed03u);
-    for (int round = 0; round < 3000; ++round) {
-        std::string line = seedline;
-        const size_t mutations = 1 + rng.below(8);
-        for (size_t m = 0; m < mutations; ++m) {
-            switch (rng.below(4)) {
-                case 0:
-                    line[rng.below(line.size())] = static_cast<char>(rng.below(256));
-                    break;
-                case 1:
-                    line.erase(rng.below(line.size()), 1);
-                    break;
-                case 2:
-                    line.insert(rng.below(line.size()), 1, line[rng.below(line.size())]);
-                    break;
-                case 3:
-                    line.resize(rng.below(line.size()) + 1);
-                    break;
-            }
-            if (line.empty()) line = "{";
-        }
-        cache_fuzz_one(line);
-    }
-}
-
-TEST(CacheProtocolFuzz, GeneratedValidRequestsRoundTripBitExactly) {
-    Xoshiro256 rng(0xcac4ed04u);
-    for (int round = 0; round < 1000; ++round) {
-        const uint64_t key = rng.next();
-        SynthesisReport report;
-        report.cells = rng.below(1 << 20);
-        report.depth = static_cast<int>(rng.below(256));
-        // Arbitrary bit patterns, including NaNs, infinities and
-        // subnormals: the wire format must not care.
-        report.area_um2 = std::bit_cast<double>(rng.next());
-        report.delay_ps = std::bit_cast<double>(rng.next());
-        report.dynamic_energy_fj = std::bit_cast<double>(rng.next());
-        report.dynamic_power_uw = std::bit_cast<double>(rng.next());
-        report.leakage_nw = std::bit_cast<double>(rng.next());
-        report.energy_fj = std::bit_cast<double>(rng.next());
-
-        CacheRequest request;
-        CacheWireError err;
-        ASSERT_TRUE(parse_cache_request(cache_put_line("p", key, report),
-                                        kCacheMaxRequestBytes, request, err))
-            << err.message;
-        EXPECT_EQ(request.key, key);
-        EXPECT_EQ(std::bit_cast<uint64_t>(request.report.area_um2),
-                  std::bit_cast<uint64_t>(report.area_um2));
-        EXPECT_EQ(std::bit_cast<uint64_t>(request.report.energy_fj),
-                  std::bit_cast<uint64_t>(report.energy_fj));
-        EXPECT_EQ(std::bit_cast<uint64_t>(request.report.leakage_nw),
-                  std::bit_cast<uint64_t>(report.leakage_nw));
-        EXPECT_EQ(request.report.cells, report.cells);
-
-        CacheResponse response;
-        std::string error;
-        ASSERT_TRUE(parse_cache_response(cache_hit_response("p", report), response, &error))
-            << error;
-        EXPECT_EQ(std::bit_cast<uint64_t>(response.report.delay_ps),
-                  std::bit_cast<uint64_t>(report.delay_ps));
-        EXPECT_EQ(std::bit_cast<uint64_t>(response.report.dynamic_power_uw),
-                  std::bit_cast<uint64_t>(report.dynamic_power_uw));
     }
 }
 

@@ -1,6 +1,6 @@
-// RetryPolicy: the shared failure-handling vocabulary (attempt budgets,
-// capped exponential backoff, deterministic jitter) used by the remote
-// cache's peer cooldowns and the cluster coordinator's shard re-dispatch.
+// RetryPolicy: the failure-handling vocabulary (attempt budgets, capped
+// exponential backoff, deterministic jitter) behind the cluster
+// coordinator's shard re-dispatch.
 //
 // Determinism is the point: every delay is a pure function of (policy,
 // failures), so a fault scenario schedules identically run over run.

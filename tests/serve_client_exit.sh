@@ -1,16 +1,15 @@
 #!/usr/bin/env bash
-# serve_tool --client / cache_tool exit-status contract, end to end over a
-# real server:
+# serve_tool --client exit-status contract, end to end over a real server,
+# plus the serve_tool / dse_tool usage contract:
 #   0  every request succeeded
 #   1  the server answered an error event / a request failed
 #   2  usage error
 #   3  transport failure (cannot connect, stream dropped early)
-# Usage: serve_client_exit.sh /path/to/serve_tool /path/to/cache_tool /path/to/dse_tool
+# Usage: serve_client_exit.sh /path/to/serve_tool /path/to/dse_tool
 set -u
 
-tool="${1:?usage: serve_client_exit.sh serve_tool cache_tool dse_tool}"
-cache="${2:?usage: serve_client_exit.sh serve_tool cache_tool dse_tool}"
-dse="${3:?usage: serve_client_exit.sh serve_tool cache_tool dse_tool}"
+tool="${1:?usage: serve_client_exit.sh serve_tool dse_tool}"
+dse="${2:?usage: serve_client_exit.sh serve_tool dse_tool}"
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
 cd "$workdir"
@@ -95,9 +94,8 @@ if [ ! -s chunked.json ]; then
 fi
 
 # --scrape robustness: a healthy server yields clean exposition text (0)
-# carrying the uptime/build_info gauges; pointing serve_tool's scraper at a
-# cache daemon (wrong dialect) is a transport-grade failure (3), and so is
-# pointing cache_tool's scraper at a serve endpoint.
+# carrying the uptime/build_info gauges; pointing serve_tool's scraper at an
+# endpoint speaking another dialect is a transport-grade failure (3).
 "$tool" --scrape --socket "$sock" >scrape.txt
 check_exit "scrape healthy server" 0 $?
 grep -q '^sdlc_serve_build_info{version=' scrape.txt || {
@@ -108,22 +106,25 @@ grep -q '^sdlc_serve_uptime_seconds ' scrape.txt || {
     echo "FAIL: scrape output lacks sdlc_serve_uptime_seconds" >&2
     failures=$((failures + 1))
 }
-xsock="$workdir/xwire-cache.sock"
-"$cache" --listen "$xsock" 2>/dev/null &
-xwire_cache=$!
+# The foreign endpoint: a one-shot listener that answers any request line
+# with JSON carrying no "event" field.
+xsock="$workdir/xwire.sock"
+python3 - "$xsock" <<'PY' &
+import socket, sys
+srv = socket.socket(socket.AF_UNIX)
+srv.bind(sys.argv[1])
+srv.listen(1)
+conn, _ = srv.accept()
+conn.recv(65536)
+conn.sendall(b'{"id": "x", "ok": true}\n')
+conn.close()
+PY
+xwire=$!
 for _ in $(seq 600); do [ -S "$xsock" ] && break; sleep 0.1; done
-"$tool" --scrape --socket "$xsock" 2>/dev/null
-check_exit "serve scrape against cache daemon" 3 $?
-"$cache" --scrape --socket "$sock" 2>/dev/null
-check_exit "cache scrape against serve server" 3 $?
-"$cache" --scrape --socket "$xsock" >cscrape.txt
-check_exit "cache scrape healthy daemon" 0 $?
-grep -q '^sdlc_cache_build_info{version=' cscrape.txt || {
-    echo "FAIL: cache scrape lacks sdlc_cache_build_info" >&2
-    failures=$((failures + 1))
-}
-"$cache" --shutdown --socket "$xsock" >/dev/null
-wait "$xwire_cache" 2>/dev/null
+timeout 30 "$tool" --scrape --socket "$xsock" 2>/dev/null
+check_exit "serve scrape against foreign endpoint" 3 $?
+kill "$xwire" 2>/dev/null
+wait "$xwire" 2>/dev/null
 
 echo '{"id":"q","type":"shutdown"}' >quit.ndjson
 "$tool" --client quit.ndjson --socket "$sock" --quiet
@@ -141,28 +142,13 @@ check_exit "non-numeric option value" 2 $?
 "$tool" --client good.ndjson 2>/dev/null
 check_exit "client without destination" 2 $?
 
-# --cache-peers usage contract: malformed peer specs and misplaced flags
-# are usage errors (2) before anything binds or runs.
-"$tool" --cache-peers "no-port-here" </dev/null 2>/dev/null
-check_exit "malformed cache peer spec" 2 $?
-"$tool" --cache-peers "unix:" </dev/null 2>/dev/null
-check_exit "empty unix cache peer path" 2 $?
-"$tool" --cache-peers "," </dev/null 2>/dev/null
-check_exit "empty cache peer list" 2 $?
-"$tool" --cache-peers 2>/dev/null
-check_exit "cache peers without value" 2 $?
-"$tool" --client good.ndjson --socket "$sock" --cache-peers unix:x.sock 2>/dev/null
-check_exit "cache peers in client mode" 2 $?
-"$tool" --scrape --socket "$sock" --cache-timeout-ms 10 2>/dev/null
-check_exit "cache timeout in scrape mode" 2 $?
-"$tool" --cache-timeout-ms abc </dev/null 2>/dev/null
-check_exit "non-numeric cache timeout" 2 $?
-
 # Cluster flag usage contract, serve_tool: malformed worker specs, shard
 # knobs without a worker list, and cluster flags in client/scrape mode are
 # usage errors (2) before anything binds or runs.
 "$tool" --workers "no-port-here" </dev/null 2>/dev/null
 check_exit "malformed worker spec" 2 $?
+"$tool" --workers "unix:" </dev/null 2>/dev/null
+check_exit "empty unix worker path" 2 $?
 "$tool" --workers "," </dev/null 2>/dev/null
 check_exit "empty worker list" 2 $?
 "$tool" --shards 8 </dev/null 2>/dev/null
@@ -184,17 +170,6 @@ check_exit "shard backoff without workers" 2 $?
 "$tool" --client good.ndjson --socket "$sock" --shard-backoff-ms 50 2>/dev/null
 check_exit "shard backoff in client mode" 2 $?
 
-# Replication flag usage contract: --cache-replicas needs a peer list and a
-# sane value, and is a server-side option.
-"$tool" --cache-replicas 2 </dev/null 2>/dev/null
-check_exit "cache replicas without peers" 2 $?
-"$tool" --cache-peers unix:x.sock --cache-replicas 0 </dev/null 2>/dev/null
-check_exit "zero cache replicas" 2 $?
-"$tool" --cache-peers unix:x.sock --cache-replicas abc </dev/null 2>/dev/null
-check_exit "non-numeric cache replicas" 2 $?
-"$tool" --client good.ndjson --socket "$sock" --cache-replicas 2 2>/dev/null
-check_exit "cache replicas in client mode" 2 $?
-
 # Observability flag usage contract: --access-log and --trace-out are
 # server-side options; dangling values are usage errors.
 "$tool" --client good.ndjson --socket "$sock" --access-log a.log 2>/dev/null
@@ -203,8 +178,6 @@ check_exit "access log in client mode" 2 $?
 check_exit "trace out in scrape mode" 2 $?
 "$tool" --access-log 2>/dev/null
 check_exit "access log without value" 2 $?
-"$cache" --access-log a.log --stats --socket x.sock 2>/dev/null
-check_exit "cache_tool access log in client mode" 2 $?
 "$dse" --trace-out 2>/dev/null
 check_exit "dse_tool trace-out without value" 2 $?
 timeout 30 "$dse" --width 20 --exhaustive-max-width 20 >/dev/null 2>&1
@@ -215,6 +188,8 @@ check_exit "dse_tool negative exhaustive cutoff" 2 $?
 # Cluster flag usage contract, dse_tool (exit 2 = usage, before any sweep).
 "$dse" --workers "no-port-here" 2>/dev/null
 check_exit "dse_tool malformed worker spec" 2 $?
+"$dse" --workers "unix:" 2>/dev/null
+check_exit "dse_tool empty unix worker path" 2 $?
 "$dse" --workers "," 2>/dev/null
 check_exit "dse_tool empty worker list" 2 $?
 "$dse" --shards 8 2>/dev/null
@@ -227,10 +202,6 @@ check_exit "dse_tool shard retries without workers" 2 $?
 check_exit "dse_tool zero shards" 2 $?
 "$dse" --shard-backoff-ms 50 2>/dev/null
 check_exit "dse_tool shard backoff without workers" 2 $?
-"$dse" --cache-replicas 2 2>/dev/null
-check_exit "dse_tool cache replicas without peers" 2 $?
-"$dse" --cache-peers unix:x.sock --cache-replicas 0 2>/dev/null
-check_exit "dse_tool zero cache replicas" 2 $?
 
 # End to end: a coordinator serving a client sweep through one worker
 # replica exits 0 all the way down.
@@ -264,19 +235,6 @@ grep -q '"verb": "sweep"' coord_access.log || {
 "$tool" --client quitc.ndjson --socket "$wsock" --quiet
 wait "$worker"
 check_exit "worker exit" 0 $?
-
-# A server pointed at unreachable cache peers still serves correctly (the
-# tier degrades; it never becomes a dependency).
-"$tool" --listen "$workdir/degraded.sock" --threads 1 \
-    --cache-peers "unix:$workdir/no-daemon-here.sock" 2>/dev/null &
-degraded=$!
-for _ in $(seq 600); do [ -S "$workdir/degraded.sock" ] && break; sleep 0.1; done
-"$tool" --client good.ndjson --socket "$workdir/degraded.sock" --quiet
-check_exit "sweep with unreachable cache peers" 0 $?
-echo '{"id":"q","type":"shutdown"}' >quit2.ndjson
-"$tool" --client quit2.ndjson --socket "$workdir/degraded.sock" --quiet
-wait "$degraded"
-check_exit "degraded server exit" 0 $?
 
 # ---- HTTP front door: negatives over raw sockets + usage contract ----
 
@@ -394,61 +352,5 @@ check_exit "unreadable auth token file" 2 $?
 check_exit "HTTP scrape of port 0" 2 $?
 "$tool" --client good.ndjson --tcp 127.0.0.1:0 2>/dev/null
 check_exit "client connect to port 0" 2 $?
-"$cache" --listen-http 127.0.0.1:0 2>/dev/null
-check_exit "cache_tool --listen-http without line listener" 2 $?
-"$cache" --auth-token-file token.txt --stats --socket x.sock 2>/dev/null
-check_exit "cache_tool auth token file in client mode" 2 $?
-
-# cache_tool shares the same exit contract.
-"$cache" 2>/dev/null
-check_exit "cache_tool without mode" 2 $?
-"$cache" --bogus 2>/dev/null
-check_exit "cache_tool unknown option" 2 $?
-"$cache" --listen a.sock --listen-tcp 127.0.0.1:0 2>/dev/null
-check_exit "cache_tool both listen modes" 2 $?
-"$cache" --stats 2>/dev/null
-check_exit "cache_tool stats without destination" 2 $?
-"$cache" --stats --shutdown --socket x.sock 2>/dev/null
-check_exit "cache_tool stats plus shutdown" 2 $?
-"$cache" --listen a.sock --stats --socket b.sock 2>/dev/null
-check_exit "cache_tool daemon plus client mode" 2 $?
-"$cache" --delay-ms abc --listen a.sock 2>/dev/null
-check_exit "cache_tool non-numeric delay" 2 $?
-"$cache" --listen a.sock --fault bogus:1 2>/dev/null
-check_exit "cache_tool unknown fault kind" 2 $?
-"$cache" --listen a.sock --fault "stall" 2>/dev/null
-check_exit "cache_tool fault missing argument" 2 $?
-"$cache" --listen a.sock --fault "disconnect-after:0" 2>/dev/null
-check_exit "cache_tool fault non-positive argument" 2 $?
-"$cache" --fault "stall:5" --stats --socket x.sock 2>/dev/null
-check_exit "cache_tool fault in client mode" 2 $?
-"$cache" --scrape 2>/dev/null
-check_exit "cache_tool scrape without destination" 2 $?
-"$cache" --listen a.sock --scrape 2>/dev/null
-check_exit "cache_tool scrape in daemon mode" 2 $?
-"$cache" --scrape --shutdown --socket x.sock 2>/dev/null
-check_exit "cache_tool scrape plus shutdown" 2 $?
-"$cache" --scrape --socket "$workdir/no-daemon-here.sock" 2>/dev/null
-check_exit "cache_tool scrape against dead socket" 3 $?
-"$cache" --data-dir d --stats --socket x.sock 2>/dev/null
-check_exit "cache_tool data dir in client mode" 2 $?
-"$cache" --stats --socket "$workdir/no-daemon-here.sock" 2>/dev/null
-check_exit "cache_tool stats against dead socket" 3 $?
-"$cache" --listen "$workdir/no/such/dir/c.sock" 2>/dev/null
-check_exit "cache_tool unbindable path" 3 $?
-
-# cache_tool round trip: daemon up, stats ok, shutdown ok, then dead.
-csock="$workdir/contract-cache.sock"
-"$cache" --listen "$csock" 2>/dev/null &
-cache_daemon=$!
-for _ in $(seq 600); do [ -S "$csock" ] && break; sleep 0.1; done
-"$cache" --stats --socket "$csock" >/dev/null
-check_exit "cache_tool stats" 0 $?
-"$cache" --shutdown --socket "$csock" >/dev/null
-check_exit "cache_tool shutdown" 0 $?
-wait "$cache_daemon"
-check_exit "cache daemon exit" 0 $?
-"$cache" --stats --socket "$csock" 2>/dev/null
-check_exit "cache_tool stats after shutdown" 3 $?
 
 exit "$failures"

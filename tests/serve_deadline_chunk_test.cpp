@@ -15,11 +15,11 @@
 #include "dse/evaluator.h"
 #include "dse/export.h"
 #include "dse/pareto.h"
-#include "dse/thread_pool.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
 #include "serve/sink.h"
 #include "util/json_parse.h"
+#include "util/thread_pool.h"
 
 namespace sdlc::serve {
 namespace {

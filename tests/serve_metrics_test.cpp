@@ -70,12 +70,6 @@ TEST(PrometheusMetrics, RendersWellFormedExposition) {
     stats.cache_hits = 100;
     stats.cache_misses = 49;
     stats.cache_entries = 49;
-    stats.remote_cache.enabled = true;
-    stats.remote_cache.hits = 31;
-    stats.remote_cache.misses = 18;
-    stats.remote_cache.errors = 2;
-    stats.remote_cache.timeouts = 1;
-    stats.remote_cache.puts = 18;
     stats.queue_depth = 3;
     stats.in_flight = 2;
     stats.latency.observe(0.004);
@@ -117,12 +111,9 @@ TEST(PrometheusMetrics, RendersWellFormedExposition) {
               std::string::npos);
     EXPECT_NE(text.find("sdlc_serve_hw_cache_lookups_total{result=\"hit\"} 100\n"),
               std::string::npos);
-    EXPECT_NE(text.find("sdlc_serve_remote_cache_requests_total{result=\"hit\"} 31\n"),
+    EXPECT_NE(text.find("sdlc_serve_hw_cache_lookups_total{result=\"miss\"} 49\n"),
               std::string::npos);
-    EXPECT_NE(text.find("sdlc_serve_remote_cache_requests_total{result=\"timeout\"} 1\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("sdlc_serve_remote_cache_puts_total 18\n"), std::string::npos);
-    EXPECT_NE(text.find("sdlc_serve_remote_cache_enabled 1\n"), std::string::npos);
+    EXPECT_NE(text.find("sdlc_serve_hw_cache_entries 49\n"), std::string::npos);
     EXPECT_NE(text.find("sdlc_serve_queue_depth 3\n"), std::string::npos);
 
     // Histogram: cumulative buckets, `+Inf` equals _count, _sum matches.

@@ -82,6 +82,43 @@ TEST(ParseHostPort, PortZeroIsListenOnlyAndBracketedV6NeedsAPort) {
     EXPECT_EQ(port, 70);
 }
 
+TEST(ParseEndpoint, ParsesAndRejects) {
+    SocketEndpoint endpoint;
+    std::string error;
+    ASSERT_TRUE(parse_endpoint("unix:/tmp/x.sock", endpoint, &error));
+    EXPECT_TRUE(endpoint.is_unix);
+    EXPECT_EQ(endpoint.path_or_host, "/tmp/x.sock");
+    ASSERT_TRUE(parse_endpoint("127.0.0.1:7070", endpoint, &error));
+    EXPECT_FALSE(endpoint.is_unix);
+    EXPECT_EQ(endpoint.path_or_host, "127.0.0.1");
+    EXPECT_EQ(endpoint.port, 7070);
+    ASSERT_TRUE(parse_endpoint("tcp:localhost:1234", endpoint, &error));
+    EXPECT_FALSE(endpoint.is_unix);
+    EXPECT_EQ(endpoint.path_or_host, "localhost");
+    EXPECT_EQ(endpoint.port, 1234);
+
+    error.clear();
+    EXPECT_FALSE(parse_endpoint("unix:", endpoint, &error));
+    EXPECT_NE(error.find("empty unix socket path"), std::string::npos) << error;
+    error.clear();
+    EXPECT_FALSE(parse_endpoint("no-port-here", endpoint, &error));
+    EXPECT_FALSE(error.empty());
+    error.clear();
+    EXPECT_FALSE(parse_endpoint("host:notaport", endpoint, &error));
+    EXPECT_NE(error.find("invalid port"), std::string::npos) << error;
+    // A connect target never accepts the listen-only ephemeral port.
+    EXPECT_FALSE(parse_endpoint("127.0.0.1:0", endpoint, &error));
+
+    // Lists skip empty items, but a non-empty list must name an endpoint.
+    std::vector<std::string> endpoints;
+    ASSERT_TRUE(parse_endpoint_list("unix:a.sock,,127.0.0.1:9", endpoints, &error));
+    EXPECT_EQ(endpoints, (std::vector<std::string>{"unix:a.sock", "127.0.0.1:9"}));
+    ASSERT_TRUE(parse_endpoint_list("", endpoints, &error));
+    EXPECT_TRUE(endpoints.empty());
+    EXPECT_FALSE(parse_endpoint_list(",", endpoints, &error));
+    EXPECT_FALSE(parse_endpoint_list("unix:a.sock,unix:", endpoints, &error));
+}
+
 TEST(TcpSocketServerTest, EphemeralPortIsReportedAndConnectable) {
     TcpSocketServer server("127.0.0.1", 0);
     EXPECT_GT(server.port(), 0) << "port 0 must resolve to the kernel-chosen port";

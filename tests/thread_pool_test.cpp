@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "dse/thread_pool.h"
+#include "util/thread_pool.h"
 
 namespace sdlc {
 namespace {

@@ -24,11 +24,13 @@
 // cold, later runs warm) and *fails* unless every run reproduces run 1
 // bit-exactly — the CI determinism guard for the cached path. No error
 // memo is shared, so every run re-evaluates error and the guard rechecks
-// the engines too.
+// the engines too. The exports are a pure function of the sweep, so
+// --repeat never changes them.
 //
-// Output is deterministic: for a fixed sweep and seed it is byte-identical
-// regardless of --threads, and identical up to the "sweep time:"/"hw
-// cache:" summary lines regardless of --no-hw-cache.
+// Output is deterministic: for a fixed sweep and seed it is identical up
+// to the "sweep time:" and "hw cache:" summary lines (wall time and raw,
+// scheduling-dependent cache counters) regardless of --threads and
+// --no-hw-cache.
 #include <algorithm>
 #include <iostream>
 #include <map>
@@ -37,7 +39,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include <fstream>
@@ -46,10 +47,10 @@
 #include "dse/evaluator.h"
 #include "dse/export.h"
 #include "dse/pareto.h"
-#include "dse/remote_cache.h"
 #include "dse/sweep.h"
 #include "error/calibrate.h"
 #include "obs/trace.h"
+#include "serve/socket.h"
 #include "util/table.h"
 
 namespace {
@@ -82,15 +83,6 @@ using namespace sdlc;
         "    --exhaustive-budget-ms B  per-point budget for the auto cutoff\n"
         "                         resolution (default 2000)\n"
         "    --no-hw-cache        disable the content-keyed synthesis cache\n"
-        "    --cache-peers LIST   comma list of cache_tool daemons sharing the\n"
-        "                         synthesis cache (unix:PATH or HOST:PORT each);\n"
-        "                         peer failures degrade to local synthesis and\n"
-        "                         never change results\n"
-        "    --cache-timeout-ms N per-operation budget against a cache peer\n"
-        "                         (default 250)\n"
-        "    --cache-replicas N   store each key on N distinct peers; gets fall\n"
-        "                         through primary -> replicas -> local synthesis\n"
-        "                         (default 1 = no replication)\n"
         "    --repeat K           evaluate the sweep K times (warm-cache runs);\n"
         "                         exits 1 unless all runs are bit-identical\n"
         "  cluster (shard the sweep across serve_tool replicas; the merged\n"
@@ -116,9 +108,9 @@ using namespace sdlc;
         "    --csv FILE  --json FILE\n"
         "  observability:\n"
         "    --trace-out FILE     record per-stage spans (client tier plus any\n"
-        "                         cluster workers and cache peers) and write a\n"
-        "                         Chrome trace-event JSON loadable in Perfetto;\n"
-        "                         never changes sweep results or exports\n";
+        "                         cluster workers) and write a Chrome trace-event\n"
+        "                         JSON loadable in Perfetto; never changes sweep\n"
+        "                         results or exports\n";
     std::exit(msg.empty() ? 0 : 2);
 }
 
@@ -133,8 +125,7 @@ public:
             "--exhaustive-max-width",  "--exhaustive-budget-ms",     "--top",
             "--by",       "--max-nmed",
             "--max-mred", "--max-area", "--max-power", "--max-delay", "--csv",
-            "--json",     "--repeat",   "--objectives", "--cache-peers",
-            "--cache-timeout-ms",       "--cache-replicas", "--workers",
+            "--json",     "--repeat",   "--objectives", "--workers",
             "--shards",   "--shard-timeout-ms",           "--shard-retries",
             "--shard-backoff-ms",       "--trace-out"};
         for (int i = 1; i < argc; ++i) {
@@ -277,29 +268,6 @@ bool sweeps_identical(const std::vector<DesignPoint>& a, const std::vector<Desig
     return true;
 }
 
-/// Validated remote-cache options from --cache-peers/--cache-timeout-ms;
-/// a malformed peer spec is a usage error before the sweep starts.
-RemoteCacheOptions remote_options_from(const Args& args) {
-    RemoteCacheOptions remote;
-    std::string error;
-    if (!parse_cache_peer_list(args.get("--cache-peers"), remote.peers, &error)) {
-        usage("--cache-peers: " + error);
-    }
-    if (args.has("--cache-peers") && remote.peers.empty()) {
-        usage("--cache-peers: empty peer list");
-    }
-    const int timeout = args.get_int("--cache-timeout-ms", 250);
-    if (timeout < 1) usage("--cache-timeout-ms must be >= 1");
-    remote.timeout_ms = timeout;
-    const int replicas = args.get_int("--cache-replicas", 1);
-    if (replicas < 1) usage("--cache-replicas must be >= 1");
-    if (!args.has("--cache-peers") && args.has("--cache-replicas")) {
-        usage("--cache-replicas requires --cache-peers");
-    }
-    remote.replicas = static_cast<unsigned>(replicas);
-    return remote;
-}
-
 /// Validated cluster fan-out options from --workers and friends; empty
 /// workers means local evaluation. Shard knobs without --workers are a
 /// usage error — they would silently do nothing.
@@ -313,7 +281,7 @@ cluster::ClusterOptions cluster_options_from(const Args& args) {
         return cluster;
     }
     std::string error;
-    if (!parse_cache_peer_list(args.get("--workers"), cluster.workers, &error)) {
+    if (!serve::parse_endpoint_list(args.get("--workers"), cluster.workers, &error)) {
         usage("--workers: " + error);
     }
     if (cluster.workers.empty()) usage("--workers: empty worker list");
@@ -377,18 +345,7 @@ int main(int argc, char** argv) {
 
         // One cache shared across --repeat runs: run 1 is cold, the rest warm.
         CostCache cache;
-        const RemoteCacheOptions remote_opts = remote_options_from(args);
-        if (!remote_opts.peers.empty() && !opts.use_hw_cache) {
-            usage("--cache-peers requires the hardware cache (drop --no-hw-cache)");
-        }
-        std::unique_ptr<RemoteCostCache> remote;
-        if (!remote_opts.peers.empty()) {
-            remote = std::make_unique<RemoteCostCache>(cache, remote_opts);
-        }
-        if (opts.use_hw_cache) {
-            opts.hw_cache = remote != nullptr ? static_cast<SynthesisCache*>(remote.get())
-                                              : &cache;
-        }
+        if (opts.use_hw_cache) opts.hw_cache = &cache;
 
         const cluster::ClusterOptions cluster = cluster_options_from(args);
         const bool clustered = !cluster.workers.empty();
@@ -409,20 +366,17 @@ int main(int argc, char** argv) {
             opts.recorder = trace_recorder.get();
             opts.trace = trace_root;
         }
-        // Persist across --repeat runs so run 2's deterministic cache stats
-        // see run 1's keys as warm — exactly like the shared local cache.
-        std::unordered_set<uint64_t> warm_keys;
         serve::ClusterCounters cluster_totals;
         auto run_sweep = [&](SweepStats& out) {
             if (!clustered) return evaluate_sweep(spec, opts, &out);
             serve::ClusterCounters delta;
             std::vector<DesignPoint> result =
-                cluster::distributed_sweep(spec, opts, cluster, &out, &delta, &warm_keys);
+                cluster::distributed_sweep(spec, opts, cluster, &out, &delta);
             cluster_totals.add(delta);
             return result;
         };
 
-        SweepStats stats;  // of run 1 (cold) — what the summary and JSON report
+        SweepStats stats;  // of run 1 — what the summary and JSON report
         std::vector<DesignPoint> points = run_sweep(stats);
         std::vector<SweepStats> run_stats = {stats};
         for (int r = 2; r <= repeat; ++r) {
@@ -489,28 +443,20 @@ int main(int argc, char** argv) {
                   << objective_set_name(objectives) << "), dist "
                   << operand_distribution_name(opts.distribution) << "\n";
         if (stats.hw_cache_enabled) {
-            std::cout << "hw cache: on — " << stats.hw_cache_hits << " hits, "
-                      << stats.hw_cache_misses << " misses (run 1)\n";
+            // Raw totals across every run; scheduling-dependent, so this line
+            // is observability only (like "sweep time:") and is never part
+            // of any byte-compared output.
+            const CostCache::Stats cs = cache.stats();
+            std::cout << "hw cache: on — " << cs.hits << " hits, " << cs.misses
+                      << " misses\n";
         } else {
             std::cout << "hw cache: off\n";
         }
         std::cout << "error engines: " << stats.engines.sliced << " sliced, "
                   << stats.engines.scalar << " scalar, " << stats.engines.sampled
                   << " sampled — cutoff " << stats.cutoff_desc << "\n";
-        if (remote != nullptr) {
-            // Totals across every run; scheduling-dependent, so this line
-            // is observability only (like "sweep time:") and is never part
-            // of any byte-compared output.
-            const RemoteCacheCounters rc = remote->remote_counters();
-            std::cout << "remote cache: " << remote->peer_count() << " peer"
-                      << (remote->peer_count() == 1 ? "" : "s") << " — " << rc.hits
-                      << " hits, " << rc.misses << " misses, " << rc.errors << " errors, "
-                      << rc.timeouts << " timeouts, " << rc.puts << " puts, "
-                      << rc.replica_hits << " replica hits, " << rc.read_repairs
-                      << " repairs\n";
-        }
         if (clustered) {
-            // Totals across every run; like the remote-cache line this is
+            // Totals across every run; like the hw-cache line this is
             // observability only and never part of byte-compared output.
             uint64_t dispatched = 0;
             uint64_t completed = 0;

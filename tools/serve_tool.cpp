@@ -17,8 +17,9 @@
 // and exits 0 only if every request succeeded (any server `error` event,
 // failed `done`, or a dropped stream exits non-zero). --output extracts
 // the `result` event's embedded dse_json export to a file — byte-identical
-// to what `dse_tool --json` writes for the same sweep against a cold cache
-// — and reassembles chunked exports (`result_chunk` events) the same way.
+// to what `dse_tool --json` writes for the same sweep, however warm either
+// cache is — and reassembles chunked exports (`result_chunk` events) the
+// same way.
 //
 // Scrape mode (for a Prometheus textfile collector / cron scraper):
 //
@@ -46,7 +47,6 @@
 #include <unistd.h>
 
 #include "cluster/coordinator.h"
-#include "dse/remote_cache.h"
 #include "obs/access_log.h"
 #include "obs/trace.h"
 #include "serve/http.h"
@@ -94,12 +94,6 @@ using namespace sdlc::serve;
         "                         for requests that did not pin their own cutoffs\n"
         "    --exhaustive-budget-ms B  per-point budget for the auto cutoff\n"
         "                         resolution (default 2000)\n"
-        "    --cache-peers LIST   comma list of cache_tool daemons sharing the\n"
-        "                         synthesis cache (unix:PATH or HOST:PORT each)\n"
-        "    --cache-timeout-ms N per-operation budget against a cache peer\n"
-        "                         before degrading to local synthesis (default 250)\n"
-        "    --cache-replicas N   store each key on N distinct peers; gets fall\n"
-        "                         through primary -> replicas -> local (default 1)\n"
         "  observability (server modes):\n"
         "    --access-log FILE    append one JSON line per request (trace_id, verb,\n"
         "                         outcome, queue_wait_s, wall_s, bytes_out, flags)\n"
@@ -130,8 +124,7 @@ using namespace sdlc::serve;
         "    --scrape             fetch Prometheus metrics (with --socket/--tcp)\n"
         "                         and print the raw exposition text to stdout\n"
         "    --http HOST:PORT     scrape GET /metrics from an HTTP front door\n"
-        "                         instead (works against serve_tool and\n"
-        "                         cache_tool; --auth-token-file adds the bearer\n"
+        "                         instead (--auth-token-file adds the bearer\n"
         "                         token); the text is validated the same way\n";
     std::exit(msg.empty() ? 0 : 2);
 }
@@ -147,8 +140,7 @@ struct Args {
                                                   "--queue-capacity", "--max-request-bytes",
                                                   "--client",         "--socket",
                                                   "--tcp",            "--output",
-                                                  "--cache-peers",    "--cache-timeout-ms",
-                                                  "--cache-replicas", "--shards",
+                                                  "--shards",
                                                   "--shard-timeout-ms", "--shard-retries",
                                                   "--shard-backoff-ms", "--access-log",
                                                   "--trace-out",      "--exhaustive-budget-ms",
@@ -214,28 +206,6 @@ ServiceOptions service_options(const Args& args) {
     opts.max_request_bytes = static_cast<size_t>(
         args.get_long("--max-request-bytes", static_cast<long>(kDefaultMaxRequestBytes)));
     opts.reject_when_full = args.flags.count("reject-overload") != 0;
-    // Validate every peer spec up front: a typo'd peer is a usage error
-    // before anything binds, not a silent local-only server.
-    std::string peers_error;
-    if (!parse_cache_peer_list(args.get("--cache-peers"), opts.cache_peers, &peers_error)) {
-        usage("--cache-peers: " + peers_error);
-    }
-    // `--cache-peers ""` (an unset shell variable) must not silently start
-    // a local-only replica that was meant to share the fleet cache.
-    if (args.values.count("--cache-peers") != 0 && opts.cache_peers.empty()) {
-        usage("--cache-peers: empty peer list");
-    }
-    opts.cache_timeout_ms = static_cast<int>(args.get_long("--cache-timeout-ms", 250));
-    // 0 would disable the socket timeouts entirely and let a hung peer
-    // block a sweep worker forever; dse_tool rejects it the same way.
-    if (opts.cache_timeout_ms < 1) usage("--cache-timeout-ms must be >= 1");
-    const long replicas = args.get_long("--cache-replicas", 1);
-    if (replicas < 1) usage("--cache-replicas must be >= 1");
-    if (args.values.count("--cache-replicas") != 0 &&
-        args.values.count("--cache-peers") == 0) {
-        usage("--cache-replicas requires --cache-peers");
-    }
-    opts.cache_replicas = static_cast<unsigned>(replicas);
     if (const std::string path = args.get("--access-log"); !path.empty()) {
         std::string error;
         opts.access_log = obs::AccessLog::open(path, &error);
@@ -261,9 +231,8 @@ void write_trace_out(const Args& args, const SweepService& service) {
 }
 
 /// Builds the service for a server mode: a plain SweepService, or a
-/// CoordinatorService fanning sweep shards out to --workers replicas. The
-/// worker list reuses the cache-peer spec grammar so the two fleets are
-/// described identically.
+/// CoordinatorService fanning sweep shards out to --workers replicas
+/// (serve/socket.h endpoint grammar: unix:PATH or HOST:PORT).
 std::unique_ptr<SweepService> make_service(const Args& args, const ServiceOptions& opts) {
     const bool clustered = args.values.count("--workers") != 0;
     if (!clustered) {
@@ -277,7 +246,7 @@ std::unique_ptr<SweepService> make_service(const Args& args, const ServiceOption
     }
     cluster::ClusterOptions cluster;
     std::string error;
-    if (!parse_cache_peer_list(args.get("--workers"), cluster.workers, &error)) {
+    if (!parse_endpoint_list(args.get("--workers"), cluster.workers, &error)) {
         usage("--workers: " + error);
     }
     if (cluster.workers.empty()) usage("--workers: empty worker list");
@@ -422,7 +391,7 @@ int run_socket_server(const Args& args) {
         std::cerr << "serve_tool: http listening on " << http_listener->endpoint() << "\n";
     }
     if (line_listener != nullptr && http_listener != nullptr) {
-        // LineService holds a single on_shutdown hook; with two listeners
+        // SweepService holds a single on_shutdown hook; with two listeners
         // the tool composes one closing both (each serve loop installing
         // its own would silently drop the other's).
         service->set_on_shutdown([&line = *line_listener, &web = *http_listener] {
@@ -432,7 +401,7 @@ int run_socket_server(const Args& args) {
         http.install_shutdown_hook = false;
         std::thread http_thread(
             [&] { serve_http_listener(*http_listener, *service, http); });
-        serve_listener(*line_listener, *service, opts.max_request_bytes, nullptr,
+        serve_listener(*line_listener, *service, opts.max_request_bytes,
                        /*install_shutdown_hook=*/false);
         http_thread.join();
     } else if (http_listener != nullptr) {
@@ -639,7 +608,7 @@ int run_scrape(const Args& args) {
     // A scraper talks to exactly one kind of endpoint; anything that is not
     // a clean metrics/done exchange with valid exposition text is a
     // transport-contract violation (exit 3), so a misdirected scrape (a
-    // cache daemon, a rogue process) can never feed garbage to a collector.
+    // rogue process) can never feed garbage to a collector.
     while (!done && reader.next(line)) {
         JsonValue event;
         if (!json_parse(line, event) || !event.is_object()) {
@@ -723,11 +692,6 @@ int main(int argc, char** argv) {
         if ((server && (client || scrape)) || (client && scrape)) {
             usage("server (--listen/--listen-tcp), client (--client) and --scrape "
                   "are mutually exclusive modes");
-        }
-        if ((client || scrape) && (args.values.count("--cache-peers") != 0 ||
-                                   args.values.count("--cache-timeout-ms") != 0 ||
-                                   args.values.count("--cache-replicas") != 0)) {
-            usage("--cache-peers/--cache-timeout-ms/--cache-replicas are server options");
         }
         if ((client || scrape) && (args.values.count("--access-log") != 0 ||
                                    args.values.count("--trace-out") != 0)) {
