@@ -214,19 +214,13 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
     proto.eval.distribution = eval.distribution;
     proto.eval.evaluate_hardware = eval.evaluate_hardware;
     proto.eval.use_hw_cache = eval.use_hw_cache;
-    proto.eval.use_sliced = eval.use_sliced;
-    // Cutoffs ship as effective per-path integers: auto cutoffs arrive
+    // The cutoff ships as the effective width: an auto cutoff arrives
     // resolved (the tool/service edge resolves before evaluate()), and a
-    // fixed cutoff ships as its own width on every path. Either way the
-    // sub-request is pinned, so a replica never re-resolves it against its
-    // own calibration and runs the same engine per point as a local run.
-    const auto effective = [&](int per_path) {
-        return per_path > 0 ? per_path : eval.exhaustive_max_width;
-    };
-    proto.eval.exhaustive_width_accurate = effective(eval.exhaustive_width_accurate);
-    proto.eval.exhaustive_width_fast2 = effective(eval.exhaustive_width_fast2);
-    proto.eval.exhaustive_width_planned = effective(eval.exhaustive_width_planned);
-    proto.eval.exhaustive_width_sliced = effective(eval.exhaustive_width_sliced);
+    // fixed cutoff ships as its own width — 0 ("sample everything")
+    // included. Either way the sub-request is pinned, so a replica never
+    // re-resolves it against its own calibration and runs the same engine
+    // per point as a local run.
+    proto.eval.resolved_exhaustive_width = eval.exhaustive_cutoff();
     proto.stream_points = true;
     proto.export_json = false;
     proto.point_bits = true;

@@ -70,8 +70,8 @@ public:
 
     /// True when this engine applies: width in [2, kMaxWidth] and a non-empty
     /// compression plan (sdlc/compensated with depth in [2, width]).
-    /// Accurate and depth-1 configurations are exact — the scalar
-    /// accurate kernel is already optimal for them.
+    /// Accurate and depth-1 configurations are exact: their error metrics
+    /// are all zero without evaluating any product.
     [[nodiscard]] static bool eligible(const MultiplierConfig& config) noexcept;
 
     /// Approximate products of a * (b0 + l) for l in [0, lanes), lanes in

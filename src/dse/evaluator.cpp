@@ -12,7 +12,6 @@
 #include "core/kernels.h"
 #include "core/kernels_sliced.h"
 #include "error/calibrate.h"
-#include "error/evaluate.h"
 #include "error/evaluate_sliced.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -82,52 +81,26 @@ const char* error_engine_name(ErrorEngine e) noexcept {
 
 ErrorEngine select_error_engine(const MultiplierConfig& config,
                                 const EvalOptions& opts) noexcept {
-    const auto cutoff = [&](int per_path) {
-        return per_path > 0 ? per_path : opts.exhaustive_max_width;
-    };
-    const char* path = multiply_kernel_name(config);
-    int scalar_cut = cutoff(opts.exhaustive_width_planned);
-    if (std::strcmp(path, "accurate") == 0) {
-        scalar_cut = cutoff(opts.exhaustive_width_accurate);
-    } else if (std::strcmp(path, "sdlc-fast2") == 0) {
-        scalar_cut = cutoff(opts.exhaustive_width_fast2);
-    }
-    if (opts.use_sliced && SlicedMultiplyKernel::eligible(config) &&
-        config.width <= std::max(cutoff(opts.exhaustive_width_sliced), scalar_cut)) {
-        return ErrorEngine::kExhaustiveSliced;
-    }
-    if (config.width <= scalar_cut) return ErrorEngine::kExhaustiveScalar;
-    return ErrorEngine::kSampled;
+    if (config.width > opts.exhaustive_cutoff()) return ErrorEngine::kSampled;
+    return SlicedMultiplyKernel::eligible(config) ? ErrorEngine::kExhaustiveSliced
+                                                  : ErrorEngine::kExhaustiveScalar;
 }
 
 std::string describe_exhaustive_cutoffs(const EvalOptions& opts) {
-    if (opts.exhaustive_width_accurate == 0 && opts.exhaustive_width_fast2 == 0 &&
-        opts.exhaustive_width_planned == 0 && opts.exhaustive_width_sliced == 0) {
+    if (opts.resolved_exhaustive_width < 0) {
         return "fixed(" + std::to_string(opts.exhaustive_max_width) + ")";
     }
-    const auto cutoff = [&](int per_path) {
-        return per_path > 0 ? per_path : opts.exhaustive_max_width;
-    };
-    return "auto(accurate=" + std::to_string(cutoff(opts.exhaustive_width_accurate)) +
-           ",fast2=" + std::to_string(cutoff(opts.exhaustive_width_fast2)) +
-           ",planned=" + std::to_string(cutoff(opts.exhaustive_width_planned)) +
-           ",sliced=" + std::to_string(cutoff(opts.exhaustive_width_sliced)) + ")";
+    return "auto(" + std::to_string(opts.resolved_exhaustive_width) + ")";
 }
 
 void apply_auto_exhaustive(EvalOptions& opts, const SweepSpec& spec, double budget_ms) {
-    if (opts.exhaustive_width_accurate != 0 || opts.exhaustive_width_fast2 != 0 ||
-        opts.exhaustive_width_planned != 0 || opts.exhaustive_width_sliced != 0) {
-        return;  // pinned: the submitter already resolved or fixed the cutoffs
-    }
+    // Pinned: the submitter already resolved or fixed the cutoff.
+    if (opts.resolved_exhaustive_width >= 0) return;
     int max_width = 0;
     for (const int w : spec.widths) max_width = std::max(max_width, w);
     if (max_width <= opts.exhaustive_max_width) return;  // promotion can't matter
-    const ExhaustiveCutoffs cut =
-        resolve_exhaustive_cutoffs(engine_calibration(), opts.exhaustive_max_width, budget_ms);
-    opts.exhaustive_width_accurate = cut.accurate;
-    opts.exhaustive_width_fast2 = cut.fast2;
-    opts.exhaustive_width_planned = cut.planned;
-    opts.exhaustive_width_sliced = cut.sliced;
+    opts.resolved_exhaustive_width =
+        resolve_exhaustive_cutoff(engine_calibration(), opts.exhaustive_max_width, budget_ms);
 }
 
 ErrorEngineTally tally_error_engines(const std::vector<MultiplierConfig>& configs,
@@ -174,32 +147,20 @@ ErrorMetrics evaluate_error(const MultiplierConfig& config, const EvalOptions& o
         exact.samples = engine == ErrorEngine::kSampled ? opts.samples : side * side;
         return exact;
     }
-    switch (engine) {
-        case ErrorEngine::kExhaustiveSliced: {
-            // 64 products per bitwise op; bit-identical to the scalar
-            // engine below (enforced by exhaustive tests).
-            const SlicedMultiplyKernel kernel(config);
-            return exhaustive_metrics_sliced(kernel, /*max_threads=*/0, shard_pool);
-        }
-        case ErrorEngine::kExhaustiveScalar: {
-            // The kernel replaces the ApproxMultiplier software model on
-            // the error path: bit-identical results, but the inner loop is
-            // a bit-trick or a precomputed strength-reduced plan instead of
-            // the ClusterPlan interpreter. The shard grid is fixed, so the
-            // result is identical for every shard_pool size.
-            const MultiplyKernel kernel(config);
-            return exhaustive_metrics(
-                config.width, [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); },
-                /*max_threads=*/0, shard_pool);
-        }
-        case ErrorEngine::kSampled: {
-            const MultiplyKernel kernel(config);
-            return sampled_distribution_metrics(
-                config.width, opts.samples, point_seed(opts.seed, config), opts.distribution,
-                [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); });
-        }
+    if (engine == ErrorEngine::kSampled) {
+        const MultiplyKernel kernel(config);
+        return sampled_distribution_metrics(
+            config.width, opts.samples, point_seed(opts.seed, config), opts.distribution,
+            [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); });
     }
-    return {};
+    // 64 products per bitwise op, bit-identical to the scalar
+    // exhaustive_metrics reference (enforced by exhaustive tests). The
+    // shard grid is fixed, so the result is identical for every
+    // shard_pool size. The only non-exact configs the sliced engine
+    // rejects cannot be built; its constructor throws
+    // std::invalid_argument for them.
+    const SlicedMultiplyKernel kernel(config);
+    return exhaustive_metrics_sliced(kernel, /*max_threads=*/0, shard_pool);
 }
 
 /// Hardware step: builds and synthesizes one configuration.

@@ -18,12 +18,12 @@
 // Nothing is kept across sweeps, so every sweep (and every `dse_tool
 // --repeat` run) re-evaluates each function and rechecks the engines.
 //
-// Error evaluation dispatches through core/kernels.h (stateless bit-trick
-// kernels where available, the strength-reduced planned path otherwise),
-// and hardware cost is memoized in a content-keyed CostCache shared across
-// the sweep; both produce results bit-identical to the direct
-// ApproxMultiplier / synthesize() path, so turning them off changes speed
-// only (see EvalOptions::use_hw_cache).
+// Exhaustive error evaluation runs on the bit-sliced engine
+// (core/kernels_sliced.h), sampling on the scalar MultiplyKernel
+// (core/kernels.h), and hardware cost is memoized in a content-keyed
+// CostCache shared across the sweep; all produce results bit-identical to
+// the direct ApproxMultiplier / synthesize() path, so the cache changes
+// speed only (see EvalOptions::use_hw_cache).
 #ifndef SDLC_DSE_EVALUATOR_H
 #define SDLC_DSE_EVALUATOR_H
 
@@ -64,21 +64,13 @@ struct EvalOptions {
     unsigned threads = 0;           ///< worker threads; 0 = hardware concurrency
     int exhaustive_max_width = 10;  ///< exhaustive error sweep at or below this width
     uint64_t samples = uint64_t{1} << 18;  ///< Monte-Carlo samples above it
-    /// Evaluate exhaustive sweeps with the bit-sliced engine whenever the
-    /// configuration is planned-path eligible (non-accurate, depth >= 2,
-    /// width <= 16). Bit-identical to the scalar engine — this knob changes
-    /// speed only (the `--no-sliced` escape hatch).
-    bool use_sliced = true;
-    /// Per-kernel-path exhaustive cutoff widths, 0 = use
-    /// exhaustive_max_width. Set by the auto time-budget resolution
-    /// (error/calibrate.h) at the tool/service edge; resolved integers —
-    /// never the machine-dependent calibration — travel on the serve wire
-    /// so replicas agree. Auto resolution only promotes above the fixed
-    /// cutoff, never demotes below it.
-    int exhaustive_width_accurate = 0;
-    int exhaustive_width_fast2 = 0;
-    int exhaustive_width_planned = 0;
-    int exhaustive_width_sliced = 0;
+    /// The exhaustive cutoff resolved by the auto time-budget heuristic
+    /// (apply_auto_exhaustive) at the tool/service edge, or -1 while
+    /// unresolved. Once resolved — any width in [0, 16], 0 included — it
+    /// replaces exhaustive_max_width as the cutoff and pins it: the
+    /// resolved integer, never the machine-dependent calibration, travels
+    /// on the serve wire so replicas agree.
+    int resolved_exhaustive_width = -1;
     uint64_t seed = 0x5d1c5eed;     ///< base seed; per-point seeds derive from it
     OperandDistribution distribution = OperandDistribution::kUniform;
     bool evaluate_hardware = true;  ///< synthesize netlists for cost metrics
@@ -135,6 +127,13 @@ struct EvalOptions {
     /// one branch per point; results are bit-identical either way.
     obs::SpanRecorder* recorder = nullptr;
     obs::TraceContext trace;
+
+    /// The exhaustive cutoff in force: exhaustive evaluation at or below
+    /// this width, sampling above it.
+    [[nodiscard]] int exhaustive_cutoff() const noexcept {
+        return resolved_exhaustive_width >= 0 ? resolved_exhaustive_width
+                                              : exhaustive_max_width;
+    }
 };
 
 /// Thrown by evaluate_sweep when EvalOptions::cancel fires mid-sweep.
@@ -150,36 +149,36 @@ struct SweepDeadlineExceeded : std::runtime_error {
 /// Which error engine evaluate_point runs for one configuration.
 enum class ErrorEngine {
     kExhaustiveSliced,  ///< bit-sliced exhaustive (core/kernels_sliced.h)
-    kExhaustiveScalar,  ///< scalar-kernel exhaustive (error/evaluate.h)
-    kSampled,           ///< seeded Monte-Carlo (width above every cutoff)
+    kExhaustiveScalar,  ///< exact kernel at or below the cutoff: no engine runs
+    kSampled,           ///< seeded Monte-Carlo (width above the cutoff)
 };
 
 /// "sliced", "scalar", or "sampled".
 [[nodiscard]] const char* error_engine_name(ErrorEngine e) noexcept;
 
-/// Pure engine choice for one configuration: the bit-sliced engine when
-/// enabled, eligible, and the width fits the sliced (or scalar-path)
-/// cutoff; otherwise scalar exhaustive under the config's own kernel-path
-/// cutoff; otherwise sampling. Deterministic given (config, opts) — the
-/// coordinator replays it to reproduce replica engine tallies.
+/// Pure engine choice for one configuration: sampling above the cutoff
+/// (EvalOptions::exhaustive_cutoff); otherwise the bit-sliced engine when
+/// the config is eligible, else kExhaustiveScalar — an exact kernel
+/// (accurate, depth 1), whose all-zero metrics need no engine.
+/// Deterministic given (config, opts) — the coordinator replays it to
+/// reproduce replica engine tallies.
 [[nodiscard]] ErrorEngine select_error_engine(const MultiplierConfig& config,
                                               const EvalOptions& opts) noexcept;
 
 /// Human-readable cutoff summary for logs and the export summary:
-/// "fixed(10)" when no per-path widths are set, otherwise
-/// "auto(accurate=14,fast2=13,planned=12,sliced=14)".
+/// "fixed(10)" while unresolved, "auto(13)" once resolved.
 [[nodiscard]] std::string describe_exhaustive_cutoffs(const EvalOptions& opts);
 
 /// Auto cutoff resolution (the time-budget heuristic): when the sweep
-/// reaches widths above the fixed exhaustive_max_width cutoff, fill the
-/// per-path cutoff widths from the process's measured engine calibration
-/// (error/calibrate.h) so each path runs exhaustive up to the largest
-/// width whose full sweep fits `budget_ms`. No-op — and no calibration
-/// cost — when every swept width already sits at or below the fixed
-/// cutoff, or when per-path widths are already set (a pinned request).
-/// Resolution never demotes below the fixed cutoff. Call once at the
-/// tool/service edge; the resolved integers, not the machine-dependent
-/// calibration, then travel with the options.
+/// reaches widths above the fixed exhaustive_max_width cutoff, set
+/// resolved_exhaustive_width from the process's measured engine
+/// calibration (error/calibrate.h) to the largest width whose full
+/// exhaustive sweep fits `budget_ms`. No-op — and no calibration cost —
+/// when every swept width already sits at or below the fixed cutoff, or
+/// when the cutoff is already resolved (a pinned request). Resolution
+/// never demotes below the fixed cutoff. Call once at the tool/service
+/// edge; the resolved integer, not the machine-dependent calibration, then
+/// travels with the options.
 void apply_auto_exhaustive(EvalOptions& opts, const SweepSpec& spec, double budget_ms);
 
 /// Per-engine point counts for a config list — a pure replay of

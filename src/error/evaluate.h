@@ -1,5 +1,9 @@
 // Exhaustive and Monte-Carlo error evaluation engines.
 //
+// Design-space sweeps run their exhaustive points on the bit-sliced engine
+// (error/evaluate_sliced.h); exhaustive_metrics below is its bit-exact
+// reference oracle and the engine of the paper-table tests and benches.
+//
 // Both take the approximate multiplier as an inlineable callable
 // `uint64_t f(uint64_t a, uint64_t b)` so that exhaustive sweeps (2^32
 // operand pairs at 16-bit) run at bit-trick speed — pass a

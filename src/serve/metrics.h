@@ -22,7 +22,7 @@ inline constexpr const char* kMetricsPrefix = "sdlc_serve_";
 
 /// Build version surfaced as sdlc_serve_build_info{version="..."}. Bumped
 /// with the protocol.
-inline constexpr const char* kBuildVersion = "0.9.0";
+inline constexpr const char* kBuildVersion = "0.10.0";
 
 /// Renders `stats` as Prometheus text format (trailing newline included).
 [[nodiscard]] std::string prometheus_metrics(const ServiceStats& stats);

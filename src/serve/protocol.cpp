@@ -138,7 +138,7 @@ EvalOptions read_eval(const JsonValue& v) {
     // Thread count is deliberately absent: the service owns one shared
     // ThreadPool and a request cannot resize it.
     check_known_keys(v, "eval", {"seed", "samples", "exhaustive_max_width", "dist", "hardware",
-                                 "hw_cache", "sliced", "exhaustive_widths"});
+                                 "hw_cache", "resolved_exhaustive_width"});
     EvalOptions eval;
     if (const JsonValue* seed = v.find("seed")) eval.seed = read_uint64(*seed, "seed");
     if (const JsonValue* samples = v.find("samples")) {
@@ -160,28 +160,12 @@ EvalOptions read_eval(const JsonValue& v) {
     if (const JsonValue* cache = v.find("hw_cache")) {
         eval.use_hw_cache = read_bool(*cache, "hw_cache");
     }
-    if (const JsonValue* sliced = v.find("sliced")) {
-        eval.use_sliced = read_bool(*sliced, "sliced");
-    }
-    // Per-path exhaustive cutoffs, resolved by the submitting edge (tool or
-    // coordinator). Integers only — the machine-dependent calibration never
-    // crosses the wire, so every replica runs the same engine per point.
-    if (const JsonValue* widths = v.find("exhaustive_widths")) {
-        if (!widths->is_object()) reject("\"exhaustive_widths\" must be an object");
-        check_known_keys(*widths, "exhaustive_widths",
-                         {"accurate", "fast2", "planned", "sliced"});
-        if (const JsonValue* w = widths->find("accurate")) {
-            eval.exhaustive_width_accurate = read_cutoff_width(*w, "accurate");
-        }
-        if (const JsonValue* w = widths->find("fast2")) {
-            eval.exhaustive_width_fast2 = read_cutoff_width(*w, "fast2");
-        }
-        if (const JsonValue* w = widths->find("planned")) {
-            eval.exhaustive_width_planned = read_cutoff_width(*w, "planned");
-        }
-        if (const JsonValue* w = widths->find("sliced")) {
-            eval.exhaustive_width_sliced = read_cutoff_width(*w, "sliced");
-        }
+    // The exhaustive cutoff resolved by the submitting edge (tool or
+    // coordinator). An integer only — the machine-dependent calibration
+    // never crosses the wire, so every replica runs the same engine per
+    // point.
+    if (const JsonValue* w = v.find("resolved_exhaustive_width")) {
+        eval.resolved_exhaustive_width = read_cutoff_width(*w, "resolved_exhaustive_width");
     }
     return eval;
 }
@@ -558,19 +542,11 @@ std::string sweep_request_json(const SweepRequest& request) {
     out += request.eval.evaluate_hardware ? "true" : "false";
     out += ", \"hw_cache\": ";
     out += request.eval.use_hw_cache ? "true" : "false";
-    // Non-default engine knobs only: a request with default options must
+    // Written only once resolved: a request with default options must
     // serialize to its exact historical bytes.
-    if (!request.eval.use_sliced) out += ", \"sliced\": false";
-    if (request.eval.exhaustive_width_accurate != 0 ||
-        request.eval.exhaustive_width_fast2 != 0 ||
-        request.eval.exhaustive_width_planned != 0 ||
-        request.eval.exhaustive_width_sliced != 0) {
-        out += ", \"exhaustive_widths\": {\"accurate\": " +
-               std::to_string(request.eval.exhaustive_width_accurate);
-        out += ", \"fast2\": " + std::to_string(request.eval.exhaustive_width_fast2);
-        out += ", \"planned\": " + std::to_string(request.eval.exhaustive_width_planned);
-        out += ", \"sliced\": " + std::to_string(request.eval.exhaustive_width_sliced);
-        out += "}";
+    if (request.eval.resolved_exhaustive_width >= 0) {
+        out += ", \"resolved_exhaustive_width\": " +
+               std::to_string(request.eval.resolved_exhaustive_width);
     }
     out += "}";
 

@@ -65,16 +65,6 @@ struct ServiceOptions {
     /// Completed traced-request trees retained for the `trace` verb and
     /// --trace-out.
     size_t trace_capacity = 64;
-    /// Server-side engine policy. use_sliced=false forces the scalar
-    /// exhaustive engine for every request (`serve_tool --no-sliced`);
-    /// results are bit-identical either way. auto_exhaustive applies the
-    /// time-budget cutoff resolution (dse/evaluator.h
-    /// apply_auto_exhaustive) to requests that did not pin their own
-    /// per-path cutoffs; the resolved integers are what shard sub-requests
-    /// carry, so a cluster's replicas always agree with the coordinator.
-    bool use_sliced = true;
-    bool auto_exhaustive = true;
-    double exhaustive_budget_ms = 2000.0;
 };
 
 /// The long-lived sweep service (see file comment). Derivable: a subclass

@@ -111,10 +111,16 @@ TEST(ShardMergerTest, InterleavedShardStreamsStayOrdered) {
     });
     std::thread b([&] {
         for (size_t i = 0; i < 20; ++i) merger.add(i, marked_point(i));
+    });
+    // The retry re-sends indices a has already delivered, so it starts only
+    // once a has joined (b may still be streaming): a duplicate sent
+    // earlier could legitimately arrive first and win.
+    a.join();
+    std::thread retry([&] {
         for (size_t i = 20; i < 30; ++i) merger.add(i, marked_point(999));  // duplicate
     });
-    a.join();
     b.join();
+    retry.join();
     ASSERT_EQ(emitted.size(), 40u);
     for (size_t i = 0; i < emitted.size(); ++i) EXPECT_EQ(emitted[i], i);
     const std::vector<DesignPoint> points = merger.take();
@@ -231,10 +237,13 @@ TEST(SweepRequestJsonTest, RoundTripsThroughTheStrictParser) {
     req.point_bits = true;
 
     const std::string line = serve::sweep_request_json(req);
+    // An unresolved cutoff adds no key: default requests keep their bytes.
+    EXPECT_EQ(line.find("resolved_exhaustive_width"), std::string::npos) << line;
     SweepRequest back;
     serve::RequestError error;
     ASSERT_TRUE(serve::parse_request(line, serve::kDefaultMaxRequestBytes, back, error))
         << error.message;
+    EXPECT_EQ(back.eval.resolved_exhaustive_width, -1);
     EXPECT_EQ(back.id, "s7");
     EXPECT_EQ(back.spec.widths, req.spec.widths);
     EXPECT_EQ(back.spec.max_depth, 3);
@@ -249,6 +258,17 @@ TEST(SweepRequestJsonTest, RoundTripsThroughTheStrictParser) {
     EXPECT_EQ(back.shard_lo, 3u);
     EXPECT_EQ(back.shard_hi, 9u);
     EXPECT_TRUE(back.point_bits);
+
+    // A resolved cutoff survives the trip, 0 ("sample everything")
+    // included: it is a width, not the unresolved marker.
+    for (const int width : {0, 13, 16}) {
+        req.eval.resolved_exhaustive_width = width;
+        ASSERT_TRUE(serve::parse_request(serve::sweep_request_json(req),
+                                         serve::kDefaultMaxRequestBytes, back, error))
+            << error.message;
+        EXPECT_EQ(back.eval.resolved_exhaustive_width, width);
+        EXPECT_EQ(back.eval.exhaustive_max_width, 6);
+    }
 }
 
 // ---------------------------------------------------- distributed sweeps ----
@@ -337,21 +357,26 @@ TEST(DistributedSweepTest, ShardRestrictedDistributedSweepMatchesSlice) {
 
 TEST(DistributedSweepTest, FixedCutoffIsNotPromotedOnReplicas) {
     // Replicas auto-resolve unpinned requests (the serve default). A sweep
-    // run under the fixed cutoff must stay sampled above it on them too, so
-    // the merged points match the single-node fixed-cutoff run.
+    // run under a fixed cutoff must stay sampled above it on them too, so
+    // the merged points match the single-node fixed-cutoff run — cutoff 0
+    // ("sample everything") included.
     Worker w1;
     SweepSpec spec = SweepSpec::for_width(12);
     spec.variants = {MultiplierVariant::kSdlc};
     spec.schemes = {AccumulationScheme::kRowRipple};
     spec.min_depth = 2;
     spec.max_depth = 3;
-    EvalOptions eval;
-    eval.threads = 2;
-    eval.samples = 4096;
-    const std::vector<DesignPoint> local = evaluate_sweep(spec, eval);
     ClusterOptions cluster;
     cluster.workers = {w1.spec()};
-    EXPECT_TRUE(points_identical(local, distributed_sweep(spec, eval, cluster)));
+    for (const int cutoff : {10, 0}) {
+        EvalOptions eval;
+        eval.threads = 2;
+        eval.samples = 4096;
+        eval.exhaustive_max_width = cutoff;
+        const std::vector<DesignPoint> local = evaluate_sweep(spec, eval);
+        EXPECT_TRUE(points_identical(local, distributed_sweep(spec, eval, cluster)))
+            << "cutoff " << cutoff;
+    }
 }
 
 TEST(DistributedSweepTest, DeadWorkersFallBackLocallyWithSameBytes) {

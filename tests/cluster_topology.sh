@@ -7,6 +7,7 @@
 #   - a worker killed -9 mid-sweep
 #   - a dead worker in an otherwise healthy list
 #   - a slow worker (a stalling endpoint) forcing shard-timeout retries
+#   - a fixed cutoff of 0 ("sample everything") through one worker
 # Every topology must reproduce `dse_tool --json` exactly and exit 0; the
 # worker fleet is an accelerator, never a result-changing dependency.
 # Usage: cluster_topology.sh /path/to/dse_tool /path/to/serve_tool
@@ -73,6 +74,20 @@ wait_for_socket w1.sock
 check_identical "1 worker" one.json
 completed=$(cluster_field one.txt completed)
 [ "${completed:-0}" -gt 0 ] || fail "1-worker run completed no shards remotely"
+
+# A fixed cutoff of 0 samples every point on the replica too: the shard
+# sub-request pins it, so the replica never promotes points to exhaustive.
+"$dse" $SWEEP --exhaustive-max-width 0 --json ref_cut0.json >/dev/null \
+    || fail "cutoff-0 reference sweep failed"
+"$dse" $SWEEP --exhaustive-max-width 0 --workers unix:w1.sock --json cut0.json >cut0.txt \
+    || fail "cutoff-0 1-worker sweep failed"
+if cmp -s ref_cut0.json cut0.json; then
+    echo "ok: cutoff 0 (1 worker) export byte-identical"
+else
+    fail "cutoff-0 1-worker export differs from the single-node one"
+fi
+completed=$(cluster_field cut0.txt completed)
+[ "${completed:-0}" -gt 0 ] || fail "cutoff-0 run completed no shards remotely"
 
 # ---- three workers ---------------------------------------------------------
 "$serve" --listen w2.sock --threads 2 2>/dev/null &

@@ -11,17 +11,19 @@
 //      inline, a provided ThreadPool is sharded over, and dedicated
 //      threads appear only for an explicit max_threads > 1.
 //
-//   2. The hard-coded exhaustive-vs-sampled cutoff: one width for every
-//      kernel path, so a ~3 ns/op accurate config was sampled at width 11
-//      while a ~30 ns/op planned config ran exhaustive at width 10. The
-//      cutoff is now resolved per path from measured calibration under a
-//      time budget; resolution is pure, only ever promotes, and pinned
-//      requests bypass it entirely.
+//   2. The hard-coded exhaustive-vs-sampled cutoff: one width whatever
+//      the engine costs, so points whose full sweep takes milliseconds
+//      were sampled. The cutoff is now resolved from the sliced engine's
+//      measured rate under a time budget; resolution is pure, only ever
+//      promotes, and pinned requests (a resolved width, 0 included)
+//      bypass it entirely.
 //
-// The policy functions (select_error_engine, resolve_exhaustive_cutoffs,
+// The policy functions (select_error_engine, resolve_exhaustive_cutoff,
 // describe_exhaustive_cutoffs, apply_auto_exhaustive, tally_error_engines)
 // are pure, so they are tested with injected calibrations — no timing
-// dependence.
+// dependence. The sliced engine is the only exhaustive engine
+// evaluate_sweep runs, so every default grid at widths 2..8 is also
+// checked against the scalar exhaustive_metrics reference bit for bit.
 //
 // The last section pins that each error function is evaluated once:
 // evaluate_sweep groups a sweep's points by (width, variant, depth) for
@@ -141,7 +143,6 @@ TEST(EvalThreading, ServiceThreadCountBoundedUnderConcurrentRequests) {
     serve::ServiceOptions opts;
     opts.eval_threads = 2;
     opts.request_workers = 2;
-    opts.auto_exhaustive = false;  // no calibration cost in this test
     serve::SweepService service(opts);
     const unsigned baseline = count_threads();
 
@@ -169,54 +170,49 @@ TEST(EvalThreading, ServiceThreadCountBoundedUnderConcurrentRequests) {
 
 // ------------------------------------------------------ cutoff resolution ----
 
-TEST(CutoffResolution, BudgetWidthsPerPath) {
+TEST(CutoffResolution, BudgetWidthFromTheSlicedRate) {
     // Injected calibration, 1 s budget: cutoff = largest width whose full
     // 4^w-pair sweep fits the budget at the measured rate.
     EngineCalibration cal;
-    cal.accurate_ns = 1.0;  // 4^14 = 2.7e8 ops fits 1e9 ns, 4^15 does not
-    cal.fast2_ns = 4.0;     // 4^13 fits 2.5e8-op budget
-    cal.planned_ns = 16.0;  // 4^12 fits 6.25e7
-    cal.sliced_ns = 0.25;   // 4^15 fits 4e9, 4^16 does not
-    const ExhaustiveCutoffs cut = resolve_exhaustive_cutoffs(cal, 10, 1000.0);
-    EXPECT_EQ(cut.accurate, 14);
-    EXPECT_EQ(cut.fast2, 13);
-    EXPECT_EQ(cut.planned, 12);
-    EXPECT_EQ(cut.sliced, 15);
+    cal.sliced_ns = 0.25;  // 4^15 fits 4e9 ops, 4^16 does not
+    EXPECT_EQ(resolve_exhaustive_cutoff(cal, 10, 1000.0), 15);
+    cal.sliced_ns = 1.0;  // 4^14 = 2.7e8 ops fits 1e9 ns, 4^15 does not
+    EXPECT_EQ(resolve_exhaustive_cutoff(cal, 10, 1000.0), 14);
+    cal.sliced_ns = 4.0;  // 4^13 fits a 2.5e8-op budget
+    EXPECT_EQ(resolve_exhaustive_cutoff(cal, 10, 1000.0), 13);
+    // The floor is where promotion starts: a floor above the budget width
+    // stays put.
+    EXPECT_EQ(resolve_exhaustive_cutoff(cal, 14, 1000.0), 14);
 
     // Pure: same inputs, same result.
-    const ExhaustiveCutoffs again = resolve_exhaustive_cutoffs(cal, 10, 1000.0);
-    EXPECT_EQ(again.accurate, cut.accurate);
-    EXPECT_EQ(again.sliced, cut.sliced);
+    EXPECT_EQ(resolve_exhaustive_cutoff(cal, 10, 1000.0),
+              resolve_exhaustive_cutoff(cal, 10, 1000.0));
 }
 
 TEST(CutoffResolution, NeverDemotesAndClampsTo16) {
     EngineCalibration cal;
-    cal.accurate_ns = 1e9;  // absurdly slow: stays at the floor
-    cal.fast2_ns = 1e-9;    // absurdly fast: clamps at width 16
-    cal.planned_ns = 0.0;   // unmeasured: stays at the floor
-    cal.sliced_ns = -1.0;   // nonsense: stays at the floor
-    const ExhaustiveCutoffs cut = resolve_exhaustive_cutoffs(cal, 10, 2000.0);
-    EXPECT_EQ(cut.accurate, 10);
-    EXPECT_EQ(cut.fast2, 16);
-    EXPECT_EQ(cut.planned, 10);
-    EXPECT_EQ(cut.sliced, 10);
+    cal.sliced_ns = 1e9;  // absurdly slow: stays at the floor
+    EXPECT_EQ(resolve_exhaustive_cutoff(cal, 10, 2000.0), 10);
+    cal.sliced_ns = 1e-9;  // absurdly fast: clamps at width 16
+    EXPECT_EQ(resolve_exhaustive_cutoff(cal, 10, 2000.0), kMaxExhaustiveWidth);
+    EXPECT_EQ(kMaxExhaustiveWidth, 16);
+    cal.sliced_ns = 0.0;  // unmeasured: stays at the floor
+    EXPECT_EQ(resolve_exhaustive_cutoff(cal, 10, 2000.0), 10);
+    cal.sliced_ns = -1.0;  // nonsense: stays at the floor
+    EXPECT_EQ(resolve_exhaustive_cutoff(cal, 10, 2000.0), 10);
 
-    // A zero budget cannot demote below the floor either.
-    const ExhaustiveCutoffs zero = resolve_exhaustive_cutoffs(cal, 12, 0.0);
-    EXPECT_EQ(zero.accurate, 12);
-    EXPECT_EQ(zero.fast2, 12);
+    // A zero budget cannot demote below the floor either, 0 included.
+    cal.sliced_ns = 1.0;
+    EXPECT_EQ(resolve_exhaustive_cutoff(cal, 12, 0.0), 12);
+    EXPECT_EQ(resolve_exhaustive_cutoff(cal, 0, 0.0), 0);
 }
 
 TEST(CutoffResolution, MeasuredCalibrationIsSane) {
-    // The real measurement: positive rates, and the sliced engine beats
-    // the scalar planned path on any machine this runs on (64 lanes per
-    // bitwise op vs one product per call).
+    // The real measurement: a positive rate of a few ns per pair (64 lanes
+    // per bitwise op); 1 us per pair would mean a broken measurement.
     const EngineCalibration& cal = engine_calibration();
-    EXPECT_GT(cal.accurate_ns, 0.0);
-    EXPECT_GT(cal.fast2_ns, 0.0);
-    EXPECT_GT(cal.planned_ns, 0.0);
     EXPECT_GT(cal.sliced_ns, 0.0);
-    EXPECT_LT(cal.sliced_ns, cal.planned_ns);
+    EXPECT_LT(cal.sliced_ns, 1000.0);
     // Lazy singleton: same object, no re-measurement.
     EXPECT_EQ(&engine_calibration(), &cal);
 }
@@ -232,66 +228,67 @@ MultiplierConfig make_config(int width, int depth, MultiplierVariant variant) {
 }
 
 TEST(EngineSelection, DefaultsFollowFixedCutoff) {
-    const EvalOptions opts;  // exhaustive_max_width = 10, use_sliced = true
+    const EvalOptions opts;  // exhaustive_max_width = 10, unresolved
+    EXPECT_EQ(opts.exhaustive_cutoff(), 10);
     EXPECT_EQ(select_error_engine(make_config(8, 3, MultiplierVariant::kSdlc), opts),
               ErrorEngine::kExhaustiveSliced);
     EXPECT_EQ(select_error_engine(make_config(10, 2, MultiplierVariant::kCompensated), opts),
               ErrorEngine::kExhaustiveSliced);
-    // Not sliced-eligible: exact config runs the scalar accurate kernel.
+    // Not sliced-eligible: an exact config, answered without an engine.
     EXPECT_EQ(select_error_engine(make_config(8, 2, MultiplierVariant::kAccurate), opts),
               ErrorEngine::kExhaustiveScalar);
-    // Above the cutoff: sampled, for every path.
+    EXPECT_EQ(select_error_engine(make_config(8, 1, MultiplierVariant::kSdlc), opts),
+              ErrorEngine::kExhaustiveScalar);
+    // Above the cutoff: sampled, exact or not.
     EXPECT_EQ(select_error_engine(make_config(12, 3, MultiplierVariant::kSdlc), opts),
               ErrorEngine::kSampled);
     EXPECT_EQ(select_error_engine(make_config(12, 2, MultiplierVariant::kAccurate), opts),
               ErrorEngine::kSampled);
 }
 
-TEST(EngineSelection, NoSlicedFallsBackToScalar) {
+TEST(EngineSelection, ResolvedCutoffReplacesTheFixedOne) {
     EvalOptions opts;
-    opts.use_sliced = false;
-    EXPECT_EQ(select_error_engine(make_config(8, 3, MultiplierVariant::kSdlc), opts),
+    opts.resolved_exhaustive_width = 14;
+    EXPECT_EQ(opts.exhaustive_cutoff(), 14);
+    EXPECT_EQ(select_error_engine(make_config(14, 2, MultiplierVariant::kSdlc), opts),
+              ErrorEngine::kExhaustiveSliced);
+    EXPECT_EQ(select_error_engine(make_config(14, 5, MultiplierVariant::kCompensated), opts),
+              ErrorEngine::kExhaustiveSliced);
+    EXPECT_EQ(select_error_engine(make_config(14, 2, MultiplierVariant::kAccurate), opts),
               ErrorEngine::kExhaustiveScalar);
-    EXPECT_EQ(select_error_engine(make_config(12, 3, MultiplierVariant::kSdlc), opts),
+    EXPECT_EQ(select_error_engine(make_config(15, 3, MultiplierVariant::kSdlc), opts),
+              ErrorEngine::kSampled);
+    EXPECT_EQ(select_error_engine(make_config(15, 2, MultiplierVariant::kAccurate), opts),
+              ErrorEngine::kSampled);
+
+    // A resolved 0 is a width, not "unresolved": it pins sampling for
+    // every point, below the fixed cutoff too.
+    opts.resolved_exhaustive_width = 0;
+    EXPECT_EQ(opts.exhaustive_cutoff(), 0);
+    EXPECT_EQ(select_error_engine(make_config(2, 2, MultiplierVariant::kSdlc), opts),
+              ErrorEngine::kSampled);
+    EXPECT_EQ(select_error_engine(make_config(6, 1, MultiplierVariant::kAccurate), opts),
+              ErrorEngine::kSampled);
+
+    // Unresolving falls back to the fixed cutoff.
+    opts.resolved_exhaustive_width = -1;
+    opts.exhaustive_max_width = 6;
+    EXPECT_EQ(select_error_engine(make_config(6, 3, MultiplierVariant::kSdlc), opts),
+              ErrorEngine::kExhaustiveSliced);
+    EXPECT_EQ(select_error_engine(make_config(7, 3, MultiplierVariant::kSdlc), opts),
               ErrorEngine::kSampled);
 }
 
-TEST(EngineSelection, PerPathCutoffsPromoteIndependently) {
+TEST(EngineSelection, UnbuildableConfigStillThrows) {
+    // depth > width is neither exact nor sliced-eligible: no engine can
+    // evaluate it, and evaluation says so instead of returning metrics.
     EvalOptions opts;
-    opts.exhaustive_width_accurate = 14;
-    opts.exhaustive_width_fast2 = 13;
-    opts.exhaustive_width_planned = 11;
-    opts.exhaustive_width_sliced = 14;
-    // Accurate path follows its own cutoff.
-    EXPECT_EQ(select_error_engine(make_config(14, 2, MultiplierVariant::kAccurate), opts),
-              ErrorEngine::kExhaustiveScalar);
-    EXPECT_EQ(select_error_engine(make_config(15, 2, MultiplierVariant::kAccurate), opts),
-              ErrorEngine::kSampled);
-    // Sliced-eligible configs follow the sliced cutoff.
-    EXPECT_EQ(select_error_engine(make_config(14, 3, MultiplierVariant::kSdlc), opts),
-              ErrorEngine::kExhaustiveSliced);
-    EXPECT_EQ(select_error_engine(make_config(15, 3, MultiplierVariant::kSdlc), opts),
-              ErrorEngine::kSampled);
-    // fast2 (sdlc depth 2) is also sliced-eligible, so the sliced engine
-    // carries it up to max(sliced, fast2) = 14.
-    EXPECT_EQ(select_error_engine(make_config(14, 2, MultiplierVariant::kSdlc), opts),
-              ErrorEngine::kExhaustiveSliced);
-
-    // With sliced disabled, a width inside the scalar-path cutoff must
-    // still run scalar exhaustive — never demoted to sampling.
-    opts.use_sliced = false;
-    EXPECT_EQ(select_error_engine(make_config(13, 2, MultiplierVariant::kSdlc), opts),
-              ErrorEngine::kExhaustiveScalar);
-    opts.use_sliced = true;
-
-    // Conversely, a scalar cutoff above the sliced one promotes the
-    // sliced engine too: the choice of engine never makes a point
-    // *sampled* that the scalar path would have run exhaustive.
-    EvalOptions wide;
-    wide.exhaustive_width_planned = 12;
-    wide.exhaustive_width_sliced = 10;
-    EXPECT_EQ(select_error_engine(make_config(12, 4, MultiplierVariant::kSdlc), wide),
-              ErrorEngine::kExhaustiveSliced);
+    opts.evaluate_hardware = false;
+    const MultiplierConfig config = make_config(4, 6, MultiplierVariant::kSdlc);
+    EXPECT_EQ(select_error_engine(config, opts), ErrorEngine::kExhaustiveScalar);
+    EXPECT_THROW((void)evaluate_point(config, opts), std::invalid_argument);
+    opts.exhaustive_max_width = 2;  // above the cutoff: the sampled path
+    EXPECT_THROW((void)evaluate_point(config, opts), std::invalid_argument);
 }
 
 TEST(EngineSelection, DescribeCutoffs) {
@@ -299,29 +296,26 @@ TEST(EngineSelection, DescribeCutoffs) {
     EXPECT_EQ(describe_exhaustive_cutoffs(opts), "fixed(10)");
     opts.exhaustive_max_width = 8;
     EXPECT_EQ(describe_exhaustive_cutoffs(opts), "fixed(8)");
-    opts.exhaustive_width_accurate = 14;
-    opts.exhaustive_width_fast2 = 13;
-    opts.exhaustive_width_planned = 12;
-    opts.exhaustive_width_sliced = 14;
-    EXPECT_EQ(describe_exhaustive_cutoffs(opts),
-              "auto(accurate=14,fast2=13,planned=12,sliced=14)");
-    // Unset fields fall back to the fixed cutoff in the description, same
-    // as in selection.
-    opts.exhaustive_width_planned = 0;
-    EXPECT_EQ(describe_exhaustive_cutoffs(opts),
-              "auto(accurate=14,fast2=13,planned=8,sliced=14)");
+    opts.exhaustive_max_width = 0;
+    EXPECT_EQ(describe_exhaustive_cutoffs(opts), "fixed(0)");
+    opts.resolved_exhaustive_width = 13;
+    EXPECT_EQ(describe_exhaustive_cutoffs(opts), "auto(13)");
+    opts.resolved_exhaustive_width = 0;
+    EXPECT_EQ(describe_exhaustive_cutoffs(opts), "auto(0)");
 }
 
 TEST(EngineSelection, ApplyAutoExhaustiveGating) {
-    // Pinned requests (any per-path width set) are left untouched: the
-    // submitter already resolved or fixed the cutoffs.
+    // Pinned requests (a resolved width, 0 included) are left untouched:
+    // the submitter already resolved or fixed the cutoff.
     SweepSpec wide;
     wide.widths = {12};
-    EvalOptions pinned;
-    pinned.exhaustive_width_sliced = 11;
-    apply_auto_exhaustive(pinned, wide, 2000.0);
-    EXPECT_EQ(pinned.exhaustive_width_accurate, 0);
-    EXPECT_EQ(pinned.exhaustive_width_sliced, 11);
+    for (const int width : {11, 0}) {
+        EvalOptions pinned;
+        pinned.resolved_exhaustive_width = width;
+        apply_auto_exhaustive(pinned, wide, 2000.0);
+        EXPECT_EQ(pinned.resolved_exhaustive_width, width);
+        EXPECT_EQ(describe_exhaustive_cutoffs(pinned), "auto(" + std::to_string(width) + ")");
+    }
 
     // Sweeps entirely at or below the fixed cutoff: no-op (and no
     // calibration cost) — promotion could not change any engine choice.
@@ -329,19 +323,19 @@ TEST(EngineSelection, ApplyAutoExhaustiveGating) {
     small.widths = {4, 8};
     EvalOptions untouched;
     apply_auto_exhaustive(untouched, small, 2000.0);
-    EXPECT_EQ(untouched.exhaustive_width_accurate, 0);
-    EXPECT_EQ(untouched.exhaustive_width_sliced, 0);
+    EXPECT_EQ(untouched.resolved_exhaustive_width, -1);
     EXPECT_EQ(describe_exhaustive_cutoffs(untouched), "fixed(10)");
 
-    // A sweep above the cutoff resolves all four paths; never below the
-    // floor (auto only promotes).
+    // A sweep above the cutoff resolves from the process calibration;
+    // never below the floor (auto only promotes), never above 16.
     EvalOptions resolved;
     apply_auto_exhaustive(resolved, wide, 1000.0);
-    EXPECT_GE(resolved.exhaustive_width_accurate, resolved.exhaustive_max_width);
-    EXPECT_GE(resolved.exhaustive_width_fast2, resolved.exhaustive_max_width);
-    EXPECT_GE(resolved.exhaustive_width_planned, resolved.exhaustive_max_width);
-    EXPECT_GE(resolved.exhaustive_width_sliced, resolved.exhaustive_max_width);
-    EXPECT_EQ(describe_exhaustive_cutoffs(resolved).rfind("auto(", 0), 0u);
+    EXPECT_EQ(resolved.resolved_exhaustive_width,
+              resolve_exhaustive_cutoff(engine_calibration(), 10, 1000.0));
+    EXPECT_GE(resolved.resolved_exhaustive_width, resolved.exhaustive_max_width);
+    EXPECT_LE(resolved.resolved_exhaustive_width, kMaxExhaustiveWidth);
+    EXPECT_EQ(describe_exhaustive_cutoffs(resolved),
+              "auto(" + std::to_string(resolved.resolved_exhaustive_width) + ")");
 }
 
 TEST(EngineSelection, TallyMatchesSelection) {
@@ -370,31 +364,6 @@ TEST(EngineSelection, TallyMatchesSelection) {
     EXPECT_STREQ(error_engine_name(ErrorEngine::kExhaustiveSliced), "sliced");
     EXPECT_STREQ(error_engine_name(ErrorEngine::kExhaustiveScalar), "scalar");
     EXPECT_STREQ(error_engine_name(ErrorEngine::kSampled), "sampled");
-}
-
-TEST(EngineSelection, SweepResultsIdenticalWithAndWithoutSliced) {
-    // End to end through evaluate_sweep: the engine knob changes speed
-    // only. Hardware evaluation off keeps this a pure error-path test.
-    SweepSpec spec;
-    spec.widths = {5};
-    EvalOptions opts;
-    opts.threads = 2;
-    opts.evaluate_hardware = false;
-    SweepStats with_stats;
-    const std::vector<DesignPoint> with_sliced = evaluate_sweep(spec, opts, &with_stats);
-    opts.use_sliced = false;
-    SweepStats without_stats;
-    const std::vector<DesignPoint> without_sliced = evaluate_sweep(spec, opts, &without_stats);
-
-    ASSERT_EQ(with_sliced.size(), without_sliced.size());
-    for (size_t i = 0; i < with_sliced.size(); ++i) {
-        EXPECT_EQ(with_sliced[i].error, without_sliced[i].error) << i;
-    }
-    EXPECT_GT(with_stats.engines.sliced, 0u);
-    EXPECT_EQ(without_stats.engines.sliced, 0u);
-    EXPECT_EQ(with_stats.engines.sliced + with_stats.engines.scalar,
-              without_stats.engines.scalar);
-    EXPECT_EQ(with_stats.cutoff_desc, "fixed(10)");
 }
 
 // ---------------------------------------------- each error function once ----
@@ -465,6 +434,34 @@ TEST(ExactKernelShortcut, EqualsTheSampledEngineBitForBit) {
         EXPECT_EQ(error_bits(config, evaluate_point(config, opts).error),
                   error_bits(config, engine))
             << operand_distribution_name(dist);
+    }
+}
+
+TEST(ExhaustiveEngine, SweepEqualsTheScalarReferenceBitForBit) {
+    // End to end through evaluate_sweep: the sliced engine is the only
+    // exhaustive engine, so every default grid at widths 2..8 is compared
+    // with the scalar exhaustive_metrics reference over MultiplyKernel,
+    // approximate and exact points alike. Hardware evaluation off keeps
+    // this a pure error-path test.
+    EvalOptions opts;
+    opts.threads = 2;
+    opts.evaluate_hardware = false;
+    for (int w = 2; w <= 8; ++w) {
+        const SweepSpec spec = SweepSpec::for_width(w);
+        SweepStats stats;
+        const std::vector<DesignPoint> points = evaluate_sweep(spec, opts, &stats);
+        ASSERT_EQ(points.size(), spec.count());
+        for (const DesignPoint& point : points) {
+            const MultiplyKernel kernel(point.config);
+            const ErrorMetrics reference = exhaustive_metrics(
+                w, [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); });
+            EXPECT_EQ(error_bits(point.config, point.error), error_bits(point.config, reference))
+                << point.describe();
+        }
+        EXPECT_GT(stats.engines.sliced, 0u);
+        EXPECT_EQ(stats.engines.sliced + stats.engines.scalar, points.size());
+        EXPECT_EQ(stats.engines.sampled, 0u);
+        EXPECT_EQ(stats.cutoff_desc, "fixed(10)");
     }
 }
 

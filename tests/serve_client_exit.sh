@@ -66,9 +66,9 @@ check_exit "deadline exceeded" 1 $?
 echo '{"id":"wide","spec":{"widths":[24]},"eval":{"exhaustive_max_width":24},"deadline_ms":500}' >wide.ndjson
 timeout 30 "$tool" --client wide.ndjson --socket "$sock" --quiet 2>/dev/null
 check_exit "exhaustive cutoff above 16" 1 $?
-echo '{"id":"wide2","spec":{"width":4},"eval":{"exhaustive_widths":{"sliced":17}}}' >wide2.ndjson
+echo '{"id":"wide2","spec":{"width":4},"eval":{"resolved_exhaustive_width":17}}' >wide2.ndjson
 timeout 30 "$tool" --client wide2.ndjson --socket "$sock" --quiet 2>/dev/null
-check_exit "per-path exhaustive width above 16" 1 $?
+check_exit "resolved exhaustive width above 16" 1 $?
 
 # Two chunked exports multiplexed over one connection: per-id reassembly
 # must keep the interleaved streams apart and exit 0.

@@ -161,13 +161,13 @@ TEST(ServeProtocol, StrictRejection) {
         {"{\"id\": \"r\", \"eval\": {\"exhaustive_max_width\": 17}}", "invalid_request"},
         {"{\"id\": \"r\", \"eval\": {\"exhaustive_max_width\": 24}}", "invalid_request"},
         {"{\"id\": \"r\", \"eval\": {\"exhaustive_max_width\": -1}}", "invalid_request"},
-        {"{\"id\": \"r\", \"eval\": {\"exhaustive_widths\": {\"accurate\": 17}}}",
-         "invalid_request"},
-        {"{\"id\": \"r\", \"eval\": {\"exhaustive_widths\": {\"fast2\": -1}}}",
-         "invalid_request"},
-        {"{\"id\": \"r\", \"eval\": {\"exhaustive_widths\": {\"planned\": 20}}}",
-         "invalid_request"},
-        {"{\"id\": \"r\", \"eval\": {\"exhaustive_widths\": {\"sliced\": 32}}}",
+        {"{\"id\": \"r\", \"eval\": {\"resolved_exhaustive_width\": 17}}", "invalid_request"},
+        {"{\"id\": \"r\", \"eval\": {\"resolved_exhaustive_width\": 24}}", "invalid_request"},
+        // -1 is "unresolved" inside EvalOptions, never a wire value.
+        {"{\"id\": \"r\", \"eval\": {\"resolved_exhaustive_width\": -1}}", "invalid_request"},
+        // "sliced" and "exhaustive_widths" are not eval keys.
+        {"{\"id\": \"r\", \"eval\": {\"sliced\": false}}", "invalid_request"},
+        {"{\"id\": \"r\", \"eval\": {\"exhaustive_widths\": {\"sliced\": 12}}}",
          "invalid_request"},
         {"{\"id\": \"r\", \"deadline_ms\": 0}", "invalid_request"},
         {"{\"id\": \"r\", \"deadline_ms\": -5}", "invalid_request"},
@@ -196,18 +196,24 @@ TEST(ServeProtocol, ExhaustiveCutoffBoundsAreInclusive) {
     SweepRequest req;
     RequestError err;
     ASSERT_TRUE(parse_request(
-        "{\"id\": \"r\", \"eval\": {\"exhaustive_max_width\": 0, \"exhaustive_widths\":"
-        " {\"accurate\": 16, \"fast2\": 0, \"planned\": 16, \"sliced\": 16}}}",
+        "{\"id\": \"r\", \"eval\": {\"exhaustive_max_width\": 0,"
+        " \"resolved_exhaustive_width\": 16}}",
         kDefaultMaxRequestBytes, req, err))
         << err.message;
     EXPECT_EQ(req.eval.exhaustive_max_width, 0);
-    EXPECT_EQ(req.eval.exhaustive_width_accurate, 16);
-    EXPECT_EQ(req.eval.exhaustive_width_fast2, 0);
-    EXPECT_EQ(req.eval.exhaustive_width_sliced, 16);
-    ASSERT_TRUE(parse_request("{\"id\": \"r\", \"eval\": {\"exhaustive_max_width\": 16}}",
-                              kDefaultMaxRequestBytes, req, err))
+    EXPECT_EQ(req.eval.resolved_exhaustive_width, 16);
+    ASSERT_TRUE(parse_request(
+        "{\"id\": \"r\", \"eval\": {\"exhaustive_max_width\": 16,"
+        " \"resolved_exhaustive_width\": 0}}",
+        kDefaultMaxRequestBytes, req, err))
         << err.message;
     EXPECT_EQ(req.eval.exhaustive_max_width, 16);
+    EXPECT_EQ(req.eval.resolved_exhaustive_width, 0);
+    // Absent, the cutoff stays unresolved.
+    ASSERT_TRUE(parse_request("{\"id\": \"r\", \"eval\": {}}", kDefaultMaxRequestBytes, req,
+                              err))
+        << err.message;
+    EXPECT_EQ(req.eval.resolved_exhaustive_width, -1);
 }
 
 TEST(ServeProtocol, SchemaErrorsKeepTheRequestId) {

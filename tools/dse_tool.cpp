@@ -76,12 +76,6 @@ using namespace sdlc;
         "    --exhaustive-max-width W  exhaustive error sweep cutoff, 0..16 (default\n"
         "                         10); setting it pins the fixed cutoff and disables\n"
         "                         the auto time-budget promotion\n"
-        "    --no-sliced          force the scalar exhaustive engine (bit-identical\n"
-        "                         results; the bit-sliced engine is speed only)\n"
-        "    --no-auto-exhaustive disable the per-path time-budget cutoff promotion\n"
-        "                         (pin the fixed --exhaustive-max-width behavior)\n"
-        "    --exhaustive-budget-ms B  per-point budget for the auto cutoff\n"
-        "                         resolution (default 2000)\n"
         "    --no-hw-cache        disable the content-keyed synthesis cache\n"
         "    --repeat K           evaluate the sweep K times (warm-cache runs);\n"
         "                         exits 1 unless all runs are bit-identical\n"
@@ -122,8 +116,7 @@ public:
         static const std::set<std::string> kValueKeys = {
             "--width",   "--widths",   "--depth-min", "--depth-max", "--variants",
             "--schemes", "--threads",  "--seed",      "--samples",   "--dist",
-            "--exhaustive-max-width",  "--exhaustive-budget-ms",     "--top",
-            "--by",       "--max-nmed",
+            "--exhaustive-max-width",  "--top",      "--by",        "--max-nmed",
             "--max-mred", "--max-area", "--max-power", "--max-delay", "--csv",
             "--json",     "--repeat",   "--objectives", "--workers",
             "--shards",   "--shard-timeout-ms",           "--shard-retries",
@@ -137,14 +130,6 @@ public:
             }
             if (key == "--no-hw-cache") {
                 flags_["no-hw-cache"] = true;
-                continue;
-            }
-            if (key == "--no-sliced") {
-                flags_["no-sliced"] = true;
-                continue;
-            }
-            if (key == "--no-auto-exhaustive") {
-                flags_["no-auto-exhaustive"] = true;
                 continue;
             }
             if (kValueKeys.count(key) == 0) usage("unknown option " + key);
@@ -242,20 +227,7 @@ EvalOptions options_from(const Args& args) {
     else if (dist == "sparse") opts.distribution = OperandDistribution::kSparse;
     else usage("unknown distribution " + dist);
     opts.use_hw_cache = !args.flag("no-hw-cache");
-    opts.use_sliced = !args.flag("no-sliced");
     return opts;
-}
-
-/// Tool-edge cutoff resolution: calibrate once and fill the per-path
-/// exhaustive widths, unless the user pinned the fixed cutoff (explicitly
-/// or via --no-auto-exhaustive). Resolved integers then travel with the
-/// options — including into cluster shard sub-requests — so every replica
-/// runs the same engine per point.
-void resolve_cutoffs_from(const Args& args, const SweepSpec& spec, EvalOptions& opts) {
-    if (args.flag("no-auto-exhaustive") || args.has("--exhaustive-max-width")) return;
-    const double budget = args.get_double("--exhaustive-budget-ms", 2000.0);
-    if (budget <= 0) usage("--exhaustive-budget-ms must be > 0");
-    apply_auto_exhaustive(opts, spec, budget);
 }
 
 /// Bit-exact equality of two evaluated sweeps (the determinism contract of
@@ -337,7 +309,14 @@ int main(int argc, char** argv) {
         const Args args(argc, argv);
         const SweepSpec spec = spec_from(args);
         EvalOptions opts = options_from(args);
-        resolve_cutoffs_from(args, spec, opts);
+        // Tool-edge cutoff resolution: calibrate once and resolve the
+        // exhaustive cutoff, unless --exhaustive-max-width pinned the fixed
+        // one. The resolved width then travels with the options — into
+        // cluster shard sub-requests too — so every replica runs the same
+        // engine per point.
+        if (!args.has("--exhaustive-max-width")) {
+            apply_auto_exhaustive(opts, spec, kExhaustiveBudgetMs);
+        }
         const Objective by = objective_from(args);  // validate before the sweep runs
         const ObjectiveSet objectives = objective_set_from(args);
         const int repeat = args.get_int("--repeat", 1);

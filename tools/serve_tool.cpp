@@ -88,12 +88,6 @@ using namespace sdlc::serve;
         "    --max-request-bytes N  reject longer request lines (default 1 MiB)\n"
         "    --reject-overload    answer a full queue with an `overloaded` error\n"
         "                         event instead of blocking the connection\n"
-        "    --no-sliced          force the scalar exhaustive error engine for\n"
-        "                         every request (bit-identical results; speed only)\n"
-        "    --no-auto-exhaustive disable the per-path time-budget cutoff promotion\n"
-        "                         for requests that did not pin their own cutoffs\n"
-        "    --exhaustive-budget-ms B  per-point budget for the auto cutoff\n"
-        "                         resolution (default 2000)\n"
         "  observability (server modes):\n"
         "    --access-log FILE    append one JSON line per request (trace_id, verb,\n"
         "                         outcome, queue_wait_s, wall_s, bytes_out, flags)\n"
@@ -143,12 +137,10 @@ struct Args {
                                                   "--shards",
                                                   "--shard-timeout-ms", "--shard-retries",
                                                   "--shard-backoff-ms", "--access-log",
-                                                  "--trace-out",      "--exhaustive-budget-ms",
-                                                  "--listen-http",    "--auth-token-file",
-                                                  "--quota-rps",      "--quota-burst",
-                                                  "--http"};
-        const std::set<std::string> flag_keys = {"--quiet", "--scrape", "--reject-overload",
-                                                 "--no-sliced", "--no-auto-exhaustive"};
+                                                  "--trace-out",      "--listen-http",
+                                                  "--auth-token-file", "--quota-rps",
+                                                  "--quota-burst",    "--http"};
+        const std::set<std::string> flag_keys = {"--quiet", "--scrape", "--reject-overload"};
         for (int i = 1; i < argc; ++i) {
             const std::string key = argv[i];
             if (key == "--help" || key == "-h") usage();
@@ -211,11 +203,6 @@ ServiceOptions service_options(const Args& args) {
         opts.access_log = obs::AccessLog::open(path, &error);
         if (opts.access_log == nullptr) usage("--access-log: " + error);
     }
-    opts.use_sliced = args.flags.count("no-sliced") == 0;
-    opts.auto_exhaustive = args.flags.count("no-auto-exhaustive") == 0;
-    const long budget = args.get_long("--exhaustive-budget-ms", 2000);
-    if (budget < 1) usage("--exhaustive-budget-ms must be >= 1");
-    opts.exhaustive_budget_ms = static_cast<double>(budget);
     return opts;
 }
 
