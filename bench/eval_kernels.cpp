@@ -1,8 +1,8 @@
 // Kernel-dispatch throughput: plan-interpreter vs fast-path kernels vs the
 // bit-sliced engine, plus the end-to-end effect on the default DSE sweep
 // (cold and warm hardware cache) and a width-12 exhaustive engine
-// comparison. Writes BENCH_eval.json so the perf trajectory is tracked
-// across PRs.
+// comparison over every sdlc and compensated depth. Writes BENCH_eval.json
+// so the perf trajectory is tracked across PRs.
 //
 //   --quick       lighter per-config measurement budget
 //   --csv FILE    also dump the per-config table as CSV
@@ -10,10 +10,13 @@
 //   --check FILE  regression guard: compare the measured bit-sliced
 //                 engine against a committed BENCH_eval.json record and
 //                 exit nonzero when the sliced engine regressed by more
-//                 than 30% on any width-12 exhaustive row. The guard
-//                 compares scalar-normalized speedups, not raw ns/op, so
-//                 it measures the sliced engine's health rather than the
+//                 than 30% on any width-12 exhaustive row, or when a row
+//                 is on one side only (committed but not measured, or
+//                 measured but not committed). The guard compares
+//                 scalar-normalized speedups, not raw ns/op, so it
+//                 measures the sliced engine's health rather than the
 //                 machine the record was committed from.
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -115,11 +118,11 @@ struct EngineRow {
     }
 };
 
-/// Regression guard: every width-12 row of the committed record whose
-/// config is re-measured here must keep at least 1/1.3 of its committed
+/// Regression guard: the committed record and this run must hold the same
+/// width-12 rows, and each must keep at least 1/1.3 of its committed
 /// scalar-vs-sliced speedup (i.e. the sliced engine may not regress more
 /// than 30% relative to the scalar engine on the same machine). Returns
-/// the number of regressions (0 = pass).
+/// the number of failed rows (0 = pass); a row on one side only fails.
 int check_against(const std::string& path, const std::vector<EngineRow>& measured) {
     std::ifstream f(path, std::ios::binary);
     if (!f) {
@@ -139,28 +142,50 @@ int check_against(const std::string& path, const std::vector<EngineRow>& measure
         std::cerr << "check: " << path << " has no w12_exhaustive records (regenerate it)\n";
         return 1;
     }
-    int regressions = 0;
-    for (const JsonValue& row : rows->array) {
+    int failures = 0;
+    std::vector<bool> matched(measured.size(), false);
+    for (size_t i = 0; i < rows->array.size(); ++i) {
+        const JsonValue& row = rows->array[i];
         const JsonValue* variant = row.find("variant");
         const JsonValue* depth = row.find("depth");
         const JsonValue* committed = row.find("speedup");
-        if (variant == nullptr || depth == nullptr || committed == nullptr) continue;
-        for (const EngineRow& m : measured) {
-            if (multiplier_variant_name(m.config.variant) != variant->string ||
-                m.config.depth != static_cast<int>(depth->number)) {
-                continue;
-            }
-            const double floor = committed->number / 1.3;
-            const bool ok = m.speedup() >= floor;
-            std::cout << "  check " << ApproxMultiplier(m.config).describe() << ": measured "
-                      << fmt_fixed(m.speedup(), 2) << "x vs committed "
-                      << fmt_fixed(committed->number, 2) << "x (floor "
-                      << fmt_fixed(floor, 2) << "x, sliced " << fmt_fixed(m.sliced_ns_per_op(), 2)
-                      << " ns/op) — " << (ok ? "ok" : "REGRESSED") << "\n";
-            if (!ok) ++regressions;
+        if (variant == nullptr || depth == nullptr || committed == nullptr) {
+            std::cout << "  check w12_exhaustive[" << i
+                      << "]: lacks variant, depth or speedup — MALFORMED\n";
+            ++failures;
+            continue;
         }
+        const std::string name =
+            variant->string + " d" + std::to_string(static_cast<int>(depth->number));
+        size_t m = 0;
+        while (m < measured.size() &&
+               (multiplier_variant_name(measured[m].config.variant) != variant->string ||
+                measured[m].config.depth != static_cast<int>(depth->number))) {
+            ++m;
+        }
+        if (m == measured.size()) {
+            std::cout << "  check " << name << ": committed but not measured — MISSING\n";
+            ++failures;
+            continue;
+        }
+        matched[m] = true;
+        const EngineRow& r = measured[m];
+        const double floor = committed->number / 1.3;
+        const bool ok = r.speedup() >= floor;
+        std::cout << "  check " << ApproxMultiplier(r.config).describe() << ": measured "
+                  << fmt_fixed(r.speedup(), 2) << "x vs committed "
+                  << fmt_fixed(committed->number, 2) << "x (floor " << fmt_fixed(floor, 2)
+                  << "x, sliced " << fmt_fixed(r.sliced_ns_per_op(), 2) << " ns/op) — "
+                  << (ok ? "ok" : "REGRESSED") << "\n";
+        if (!ok) ++failures;
     }
-    return regressions;
+    for (size_t m = 0; m < measured.size(); ++m) {
+        if (matched[m]) continue;
+        std::cout << "  check " << ApproxMultiplier(measured[m].config).describe()
+                  << ": measured but not committed — MISSING\n";
+        ++failures;
+    }
+    return failures;
 }
 
 }  // namespace
@@ -210,35 +235,47 @@ int main(int argc, char** argv) {
     }
     table.print(std::cout);
 
-    // Width-12 exhaustive engine comparison: the full 4^12-pair sweep with
-    // ErrorAccumulator, scalar vs bit-sliced — the number the DSE actually
-    // feels when a width-12 config runs exhaustive. Metrics are asserted
-    // bit-identical while we are at it.
+    // Width-12 exhaustive engine comparison at every sdlc and compensated
+    // depth: the full 4^12-pair sweep with ErrorAccumulator, scalar vs
+    // bit-sliced — the number the DSE actually feels when a width-12
+    // config runs exhaustive. Metrics are asserted bit-identical in every
+    // round while we are at it.
     std::cout << "\nwidth-12 exhaustive sweep, scalar vs bit-sliced engine:\n";
     std::vector<EngineRow> engine_rows;
     TextTable etable({"config", "scalar s", "sliced s", "speedup", "sliced ns/op"});
-    for (const MultiplierConfig& cfg :
-         {MultiplierConfig{12, 2, MultiplierVariant::kSdlc, AccumulationScheme::kRowRipple},
-          MultiplierConfig{12, 3, MultiplierVariant::kSdlc, AccumulationScheme::kRowRipple},
-          MultiplierConfig{12, 4, MultiplierVariant::kSdlc, AccumulationScheme::kRowRipple},
-          MultiplierConfig{12, 2, MultiplierVariant::kCompensated,
-                           AccumulationScheme::kRowRipple}}) {
-        EngineRow row;
-        row.config = cfg;
+    std::vector<MultiplierConfig> w12_configs;
+    for (const MultiplierVariant variant :
+         {MultiplierVariant::kSdlc, MultiplierVariant::kCompensated}) {
+        for (int depth = 2; depth <= 12; ++depth) {
+            w12_configs.push_back({12, depth, variant, AccumulationScheme::kRowRipple});
+        }
+    }
+    for (const MultiplierConfig& cfg : w12_configs) {
         const MultiplyKernel scalar(cfg);
         const SlicedMultiplyKernel sliced(cfg);
-        auto t0 = Clock::now();
-        const ErrorMetrics scalar_m = exhaustive_metrics(
-            cfg.width, [&](uint64_t a, uint64_t b) { return scalar(a, b); });
-        row.scalar_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-        t0 = Clock::now();
-        const ErrorMetrics sliced_m = exhaustive_metrics_sliced(sliced);
-        row.sliced_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-        if (!(scalar_m == sliced_m)) {
-            std::cerr << "FATAL: engines disagree on " << ApproxMultiplier(cfg).describe()
-                      << "\n";
-            return 1;
+        // Three rounds of one scalar and one sliced sweep; the row keeps the
+        // round with the median speedup. On a shared machine one round's
+        // speedup moves by 30% or more, which alone would trip --check's
+        // tolerance on some of the 22 rows.
+        EngineRow rounds[3];
+        for (EngineRow& round : rounds) {
+            round.config = cfg;
+            auto t0 = Clock::now();
+            const ErrorMetrics scalar_m = exhaustive_metrics(
+                cfg.width, [&](uint64_t a, uint64_t b) { return scalar(a, b); });
+            round.scalar_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+            t0 = Clock::now();
+            const ErrorMetrics sliced_m = exhaustive_metrics_sliced(sliced);
+            round.sliced_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+            if (!(scalar_m == sliced_m)) {
+                std::cerr << "FATAL: engines disagree on " << ApproxMultiplier(cfg).describe()
+                          << "\n";
+                return 1;
+            }
         }
+        std::sort(rounds, rounds + 3,
+                  [](const EngineRow& x, const EngineRow& y) { return x.speedup() < y.speedup(); });
+        const EngineRow& row = rounds[1];
         engine_rows.push_back(row);
         etable.add_row({ApproxMultiplier(cfg).describe(), fmt_fixed(row.scalar_seconds, 3),
                         fmt_fixed(row.sliced_seconds, 3), fmt_fixed(row.speedup(), 2),
@@ -318,13 +355,14 @@ int main(int argc, char** argv) {
 
     if (args.check_path) {
         std::cout << "\nregression check vs " << *args.check_path << ":\n";
-        const int regressions = check_against(*args.check_path, engine_rows);
-        if (regressions > 0) {
-            std::cerr << "check: " << regressions
-                      << " sliced-engine regression(s) beyond the 30% tolerance\n";
+        const int failures = check_against(*args.check_path, engine_rows);
+        if (failures > 0) {
+            std::cerr << "check: " << failures
+                      << " row(s) regressed beyond the 30% tolerance or missing on one side\n";
             return 1;
         }
-        std::cout << "  all sliced-engine rows within 30% of the committed record\n";
+        std::cout << "  all " << engine_rows.size()
+                  << " sliced-engine rows within 30% of the committed record\n";
     }
     return 0;
 }

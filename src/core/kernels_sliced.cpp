@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "core/cluster_plan.h"
+#include "core/compensation.h"
 #include "util/bitops.h"
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -44,17 +45,6 @@ inline void sub_planes(uint64_t* planes, const uint64_t* sub, int lo, int hi) no
     uint64_t borrow = 0;
     for (int j = lo; j < 64 && (j < hi || borrow != 0); ++j) {
         const uint64_t s = j < hi ? sub[j] : 0u;
-        const uint64_t d = planes[j];
-        planes[j] = d ^ s ^ borrow;
-        borrow = (~d & (s | borrow)) | (s & borrow);
-    }
-}
-
-/// planes -= val gated by `gate`. `val` must be non-zero.
-inline void sub_gated(uint64_t* planes, uint64_t val, uint64_t gate) noexcept {
-    uint64_t borrow = 0;
-    for (int j = std::countr_zero(val); j < 64 && ((val >> j) != 0 || borrow != 0); ++j) {
-        const uint64_t s = ((val >> j) & 1u) ? gate : 0u;
         const uint64_t d = planes[j];
         planes[j] = d ^ s ^ borrow;
         borrow = (~d & (s | borrow)) | (s & borrow);
@@ -174,8 +164,8 @@ SlicedMultiplyKernel::SlicedMultiplyKernel(const MultiplierConfig& config)
     }
     const uint64_t side = 1ull << config.width;
     lanes_ = side < 64 ? static_cast<unsigned>(side) : 64u;
-    lane_mask_ = lanes_ < 64 ? mask_low(lanes_) : ~0ull;
-    for (int r = 0; r < 6; ++r) low_gates_[r] = kLanePattern[r] & lane_mask_;
+    const uint64_t lane_mask = lanes_ < 64 ? mask_low(lanes_) : ~0ull;
+    for (int r = 0; r < 6; ++r) low_gates_[r] = kLanePattern[r] & lane_mask;
 
     const ClusterPlan plan = ClusterPlan::make(config.width, config.depth);
     for (const ClusterGroup& grp : plan.groups()) {
@@ -193,23 +183,26 @@ SlicedMultiplyKernel::SlicedMultiplyKernel(const MultiplierConfig& config)
                              window > 0 ? mask_low(static_cast<unsigned>(window)) : 0});
         }
         groups_.push_back(g);
-        if (g.cls != Cls::kLow) block_varying_ = true;
-        if (g.cls == Cls::kMixed) plane_varying_ = true;
     }
     if (config.variant == MultiplierVariant::kCompensated) {
-        comp_ = compensation_terms(plan);
-        for (const CompensationTerm& t : comp_) {
-            const bool a_low = t.row_a < 6, b_low = t.row_b < 6;
-            if (a_low && b_low) {
-                comp_low_.push_back(t);
-            } else if (!a_low && !b_low) {
-                comp_high_.push_back(t);
-                block_varying_ = true;
-            } else {
-                comp_mixed_.push_back(t);
-                block_varying_ = true;
-                plane_varying_ = true;
+        // comp(b) is the sum of the terms whose two rows are both set in b
+        // (in-group pairs, row_a < row_b). Dropping b's lowest set row r
+        // drops exactly the terms pairing r with b's other rows:
+        // comp(b) = comp(b & (b - 1)) + sum_{r' in b, r' > r} value(r, r').
+        uint64_t value[kMaxWidth][kMaxWidth] = {};
+        uint64_t partners[kMaxWidth] = {};
+        for (const CompensationTerm& t : compensation_terms(plan)) {
+            value[t.row_a][t.row_b] += t.value;
+            partners[t.row_a] |= uint64_t{1} << t.row_b;
+        }
+        comp_.assign(side, 0);
+        for (uint64_t b = 1; b < side; ++b) {
+            const int r = std::countr_zero(b);
+            uint64_t c = comp_[b & (b - 1)];
+            for (uint64_t m = b & partners[r]; m != 0; m &= m - 1) {
+                c += value[r][std::countr_zero(m)];
             }
+            comp_[b] = c;
         }
     }
 }
@@ -232,91 +225,64 @@ void SlicedMultiplyKernel::eval_group(uint64_t* planes, const Group& g,
     if (any) sub_planes(planes, scratch, g.lo, g.hi);
 }
 
-uint64_t SlicedMultiplyKernel::high_error(uint64_t a, uint64_t b) const noexcept {
-    // Scalar planned identity restricted to the all-uniform groups; on an
-    // aligned block every lane shares bits >= 6 of b, so one evaluation
-    // covers the whole block.
+uint64_t SlicedMultiplyKernel::block_error(uint64_t a, uint64_t b0,
+                                           uint64_t& high_or) const noexcept {
+    // Scalar planned identity over the rows >= 6: on an aligned block every
+    // lane shares those bits of b0. A high group's error is complete here.
+    // For the straddling group this is its high rows' SUM - OR, and
+    // high_or returns their OR for the lane loop to merge with the low
+    // rows' OR: low_or | high_or = low_or + high_or - (low_or & high_or).
     uint64_t err = 0;
+    high_or = 0;
     for (const Group& g : groups_) {
-        if (g.cls != Cls::kHigh) continue;
-        uint64_t bb = (b >> g.base_row) & mask_low(g.count);
-        if ((bb & (bb - 1)) == 0) continue;
+        if (g.cls == Cls::kLow) continue;
+        const uint32_t k0 = g.cls == Cls::kMixed ? static_cast<uint32_t>(6 - g.base_row) : 0;
         uint64_t sum = 0, present = 0;
-        do {
-            const int k = std::countr_zero(bb);
-            const uint64_t t = (a & rows_[g.first + static_cast<uint32_t>(k)].mask) << k;
+        for (uint64_t bb = (b0 >> (g.base_row + static_cast<int>(k0))) & mask_low(g.count - k0);
+             bb != 0; bb &= bb - 1) {
+            const uint32_t k = k0 + static_cast<uint32_t>(std::countr_zero(bb));
+            const uint64_t t = (a & rows_[g.first + k].mask) << k;
             sum += t;
             present |= t;
-            bb &= bb - 1;
-        } while (bb != 0);
+        }
         err += (sum - present) << g.base_row;
+        if (g.cls == Cls::kMixed) high_or = present << g.base_row;
     }
     return err;
 }
 
 void SlicedMultiplyKernel::prepare(uint64_t a, Prepared& prep) const noexcept {
+    // In an aligned block, lane l's bits 0..5 of b are l itself, so every
+    // row below bit 6 has the same gate plane in every block: evaluate
+    // those rows once and transpose them into per-lane values.
     prep.a = a;
-    std::memset(prep.low, 0, sizeof prep.low);
+    uint64_t planes[64] = {};
+    uint64_t mixed_or[64] = {};
     uint64_t scratch[64];
     for (const Group& g : groups_) {
-        if (g.cls != Cls::kLow) continue;
+        if (g.cls == Cls::kHigh) continue;
         uint64_t gates[64];
         for (uint32_t i = 0; i < g.count; ++i) {
-            gates[i] = low_gates_[rows_[g.first + i].row];
+            const int r = rows_[g.first + i].row;
+            gates[i] = r < 6 ? low_gates_[r] : 0;  // rows >= 6: block_error()
         }
-        eval_group(prep.low, g, gates, a, scratch);
+        eval_group(planes, g, gates, a, g.cls == Cls::kMixed ? mixed_or : scratch);
     }
-    for (const CompensationTerm& t : comp_low_) {
-        const uint64_t gate = low_gates_[t.row_a] & low_gates_[t.row_b];
-        if (gate != 0 && t.value != 0) sub_gated(prep.low, t.value, gate);
-    }
+    transpose64_to(prep.low, planes);
+    transpose64_to(prep.mixed_or, mixed_or);
 }
 
 void SlicedMultiplyKernel::multiply_block_prepared(const Prepared& prep, uint64_t b0,
                                                    uint64_t out[64]) const noexcept {
-    // adj = scalar part of (error - compensation), shared by every lane.
-    uint64_t adj = 0;
-    uint64_t lanes[64];
-    if (!plane_varying_) {
-        // All block-varying work is scalar (all-uniform groups/terms), so
-        // the prepared planes transpose straight into lane space.
-        transpose64_to(lanes, prep.low);
-        if (block_varying_) {
-            adj = high_error(prep.a, b0);
-            for (const CompensationTerm& t : comp_high_) {
-                if (((b0 >> t.row_a) & (b0 >> t.row_b)) & 1u) adj -= t.value;
-            }
-        }
-    } else {
-        uint64_t planes[64];
-        std::memcpy(planes, prep.low, sizeof planes);
-        adj = high_error(prep.a, b0);
-        for (const CompensationTerm& t : comp_high_) {
-            if (((b0 >> t.row_a) & (b0 >> t.row_b)) & 1u) adj -= t.value;
-        }
-        uint64_t scratch[64];
-        for (const Group& g : groups_) {
-            if (g.cls != Cls::kMixed) continue;
-            uint64_t gates[64];
-            for (uint32_t i = 0; i < g.count; ++i) {
-                const int r = rows_[g.first + i].row;
-                gates[i] = r < 6 ? low_gates_[r]
-                                 : (((b0 >> r) & 1u) ? lane_mask_ : 0u);
-            }
-            eval_group(planes, g, gates, prep.a, scratch);
-        }
-        for (const CompensationTerm& t : comp_mixed_) {
-            const int low_row = t.row_a < 6 ? t.row_a : t.row_b;
-            const int high_row = t.row_a < 6 ? t.row_b : t.row_a;
-            if (((b0 >> high_row) & 1u) && t.value != 0) {
-                sub_gated(planes, t.value, low_gates_[low_row]);
-            }
-        }
-        transpose64_to(lanes, planes);
-    }
-    uint64_t p = prep.a * b0 - adj;
+    uint64_t high_or = 0;
+    const uint64_t err = block_error(prep.a, b0, high_or);
+    // b0 is a multiple of lanes_, which divides 2^width: the block's
+    // compensation entries are contiguous and inside the table.
+    static constexpr uint64_t kNoComp[64] = {};
+    const uint64_t* comp = comp_.empty() ? kNoComp : comp_.data() + (b0 & (comp_.size() - 1));
+    uint64_t p = prep.a * b0 - err;
     for (unsigned l = 0; l < lanes_; ++l) {
-        out[l] = p - lanes[l];
+        out[l] = p - prep.low[l] - (prep.mixed_or[l] & high_or) + comp[l];
         p += prep.a;
     }
 }
@@ -346,14 +312,11 @@ void SlicedMultiplyKernel::multiply_block(uint64_t a, uint64_t b0, unsigned lane
         for (uint32_t i = 0; i < g.count; ++i) gates[i] = bplane[rows_[g.first + i].row];
         eval_group(planes, g, gates, a, scratch);
     }
-    for (const CompensationTerm& t : comp_) {
-        const uint64_t gate = bplane[t.row_a] & bplane[t.row_b];
-        if (gate != 0 && t.value != 0) sub_gated(planes, t.value, gate);
-    }
     transpose64(planes);
     uint64_t p = a * b0;
+    const uint64_t comp_mask = comp_.size() - 1;
     for (unsigned l = 0; l < lanes; ++l) {
-        out[l] = p - planes[l];
+        out[l] = p - planes[l] + (comp_.empty() ? 0 : comp_[(b0 + l) & comp_mask]);
         p += a;
     }
 }

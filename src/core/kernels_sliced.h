@@ -14,14 +14,21 @@
 //     where the "gate" plane (which lanes have B bit row_k set) feeds the
 //     full-adder instead of a scalar 0/1;
 //   - the OR term  OR_k t_k  becomes plain plane ORs;
-//   - the group error (SUM - OR) << base_row and the compensated variant's
-//     gated constants become borrow-ripple plane subtracts.
+//   - the group error (SUM - OR) << base_row becomes a borrow-ripple plane
+//     subtract.
 //
-// A final 64x64 bit-matrix transpose turns the error planes back into one
-// uint64 error per lane, and products[l] = a*b_l - err_l (+ compensation)
+// A 64x64 bit-matrix transpose turns the error planes back into one
+// uint64 error per lane, and products[l] = a*b_l - err_l + comp(b_l)
 // reproduces the scalar kernel's uint64 wrap arithmetic exactly — results
 // are bit-identical to MultiplyKernel for every operand pair (enforced by
 // exhaustive tests).
+//
+// The compensated variant's correction sum_{in-group row pairs} value *
+// [b_r1 AND b_r2] (core/compensation.h) depends on b alone, so it never
+// enters the planes: the constructor tabulates comp(b) once per b
+// (2^width entries; 32 KB at width 12, 512 KB at width 16) and each lane
+// adds its entry. The table is indexed with b & (2^width - 1), which is
+// exact because compensation reads only rows below the width.
 //
 // Two entry points:
 //
@@ -30,10 +37,16 @@
 //     path for aligned blocks (b0 a multiple of the natural lane count).
 //     For aligned blocks the b bit-planes are not data at all: planes 0..5
 //     are fixed constants (0xAAAA..., 0xCCCC..., ...) and planes >= 6 are
-//     uniform 0/~0 across the block. prepare() therefore folds every group
-//     whose rows all sit below bit 6 into a per-a plane image once, and
-//     the per-block work collapses to: copy planes, evaluate the few
-//     all-uniform groups as scalars on b0, transpose, subtract.
+//     uniform 0/~0 across the block. So the rows below bit 6 give every
+//     block the same per-lane error: prepare() evaluates them in planes
+//     once per a and transposes the result to one uint64 per lane. Rows at
+//     or above bit 6 are scalars on b0. A group with every row there is
+//     the scalar planned identity. A plan has at most one group straddling
+//     bit 6; prepare() also keeps its low rows' OR per lane, and a block
+//     merges it with its high rows' scalar OR through
+//     low_or | high_or = low_or + high_or - (low_or & high_or).
+//     A block is therefore a little scalar work on b0 plus one lane loop,
+//     with no plane arithmetic and no transpose.
 #ifndef SDLC_CORE_KERNELS_SLICED_H
 #define SDLC_CORE_KERNELS_SLICED_H
 
@@ -41,7 +54,6 @@
 #include <vector>
 
 #include "api/approx_multiplier.h"
-#include "core/compensation.h"
 
 namespace sdlc {
 
@@ -56,10 +68,12 @@ void transpose64_to(uint64_t dst[64], const uint64_t src[64]);
 /// Per-configuration bit-sliced evaluator for the planned path.
 class SlicedMultiplyKernel {
 public:
-    /// Precomputed per-a state for multiply_block_prepared().
+    /// Precomputed per-a state for multiply_block_prepared(): the rows
+    /// below bit 6, per lane of an aligned block.
     struct Prepared {
         uint64_t a = 0;
-        uint64_t low[64] = {};  ///< error planes of all low-row groups/terms
+        uint64_t low[64] = {};       ///< error of the rows below bit 6
+        uint64_t mixed_or[64] = {};  ///< OR of the straddling group's rows below bit 6
     };
 
     /// Widest operand the engine evaluates.
@@ -80,7 +94,7 @@ public:
     /// lane-misalignment case).
     void multiply_block(uint64_t a, uint64_t b0, unsigned lanes, uint64_t out[64]) const noexcept;
 
-    /// Folds every block-invariant group/term for this `a` into prep.
+    /// Evaluates the block-invariant rows (below bit 6) for this `a`.
     void prepare(uint64_t a, Prepared& prep) const noexcept;
 
     /// Fast path: products of a * (b0 + l) for l in [0, natural_lanes()).
@@ -105,7 +119,8 @@ private:
 
     /// Row-class of a group w.r.t. aligned blocks: all rows below bit 6
     /// (gate planes are block-invariant constants), all rows at or above
-    /// bit 6 (gates uniform per block), or straddling.
+    /// bit 6 (gates uniform per block), or straddling. Groups are disjoint
+    /// row ranges, so a plan has at most one kMixed group.
     enum class Cls : uint8_t { kLow, kHigh, kMixed };
 
     struct Group {
@@ -119,20 +134,15 @@ private:
 
     void eval_group(uint64_t* planes, const Group& g, const uint64_t* gates,
                     uint64_t a, uint64_t* scratch) const noexcept;
-    [[nodiscard]] uint64_t high_error(uint64_t a, uint64_t b) const noexcept;
+    [[nodiscard]] uint64_t block_error(uint64_t a, uint64_t b0,
+                                       uint64_t& high_or) const noexcept;
 
     MultiplierConfig config_;
     unsigned lanes_ = 64;
-    uint64_t lane_mask_ = ~0ull;
     uint64_t low_gates_[6] = {};  ///< aligned-block gate planes for rows < 6
     std::vector<Row> rows_;
     std::vector<Group> groups_;
-    std::vector<CompensationTerm> comp_;        ///< all terms (general path)
-    std::vector<CompensationTerm> comp_low_;    ///< both rows < 6
-    std::vector<CompensationTerm> comp_high_;   ///< both rows >= 6
-    std::vector<CompensationTerm> comp_mixed_;  ///< one row each side
-    bool block_varying_ = false;  ///< any high/mixed group or comp term
-    bool plane_varying_ = false;  ///< any mixed group or mixed comp term
+    std::vector<uint64_t> comp_;  ///< comp(b) per b; empty for plain sdlc
 };
 
 }  // namespace sdlc

@@ -7,7 +7,8 @@
 // call per pair. Because ErrorAccumulator sees identical (exact, approx)
 // pairs in an identical order, the returned ErrorMetrics is bit-identical
 // to the scalar engine for every eligible configuration (enforced by
-// tests/kernels_sliced_test.cpp).
+// tests/kernels_sliced_test.cpp, and product by product for every depth
+// at widths 9-16 by tests/kernels_sliced_depths_test.cpp).
 #ifndef SDLC_ERROR_EVALUATE_SLICED_H
 #define SDLC_ERROR_EVALUATE_SLICED_H
 

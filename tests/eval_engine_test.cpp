@@ -22,8 +22,9 @@
 // describe_exhaustive_cutoffs, apply_auto_exhaustive, tally_error_engines)
 // are pure, so they are tested with injected calibrations — no timing
 // dependence. The sliced engine is the only exhaustive engine
-// evaluate_sweep runs, so every default grid at widths 2..8 is also
-// checked against the scalar exhaustive_metrics reference bit for bit.
+// evaluate_sweep runs, so every default grid at widths 2..8 and 10 is
+// also checked against the scalar exhaustive_metrics reference bit for
+// bit.
 //
 // The last section pins that each error function is evaluated once:
 // evaluate_sweep groups a sweep's points by (width, variant, depth) for
@@ -39,6 +40,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -439,23 +441,35 @@ TEST(ExactKernelShortcut, EqualsTheSampledEngineBitForBit) {
 
 TEST(ExhaustiveEngine, SweepEqualsTheScalarReferenceBitForBit) {
     // End to end through evaluate_sweep: the sliced engine is the only
-    // exhaustive engine, so every default grid at widths 2..8 is compared
-    // with the scalar exhaustive_metrics reference over MultiplyKernel,
-    // approximate and exact points alike. Hardware evaluation off keeps
-    // this a pure error-path test.
+    // exhaustive engine, so every default grid at widths 2..8 and 10 is
+    // compared with the scalar exhaustive_metrics reference over
+    // MultiplyKernel, approximate and exact points alike. Width 10 puts up
+    // to 4 rows at or above bit 6 in the group that straddles it (widths
+    // 2..8 reach 2), each with a compensated twin. Hardware evaluation off
+    // keeps this a pure error-path test.
     EvalOptions opts;
     opts.threads = 2;
     opts.evaluate_hardware = false;
-    for (int w = 2; w <= 8; ++w) {
+    for (const int w : {2, 3, 4, 5, 6, 7, 8, 10}) {
         const SweepSpec spec = SweepSpec::for_width(w);
         SweepStats stats;
         const std::vector<DesignPoint> points = evaluate_sweep(spec, opts, &stats);
         ASSERT_EQ(points.size(), spec.count());
+        // One reference per error function: the scheme never changes a
+        // product.
+        std::map<std::pair<MultiplierVariant, int>, ErrorMetrics> references;
         for (const DesignPoint& point : points) {
-            const MultiplyKernel kernel(point.config);
-            const ErrorMetrics reference = exhaustive_metrics(
-                w, [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); });
-            EXPECT_EQ(error_bits(point.config, point.error), error_bits(point.config, reference))
+            const auto key = std::make_pair(point.config.variant, point.config.depth);
+            auto it = references.find(key);
+            if (it == references.end()) {
+                const MultiplyKernel kernel(point.config);
+                it = references
+                         .emplace(key, exhaustive_metrics(w, [&kernel](uint64_t a, uint64_t b) {
+                                      return kernel(a, b);
+                                  }))
+                         .first;
+            }
+            EXPECT_EQ(error_bits(point.config, point.error), error_bits(point.config, it->second))
                 << point.describe();
         }
         EXPECT_GT(stats.engines.sliced, 0u);
