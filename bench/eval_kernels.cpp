@@ -15,7 +15,9 @@
 //                 measured but not committed). The guard compares
 //                 scalar-normalized speedups, not raw ns/op, so it
 //                 measures the sliced engine's health rather than the
-//                 machine the record was committed from.
+//                 machine the record was committed from. The output names
+//                 the lane block the sliced rows ran on: "avx512" or
+//                 "portable" (error/metrics.h).
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -33,6 +35,7 @@
 #include "dse/sweep.h"
 #include "error/evaluate.h"
 #include "error/evaluate_sliced.h"
+#include "error/metrics.h"
 #include "util/csv.h"
 #include "util/json.h"
 #include "util/json_parse.h"
@@ -241,7 +244,8 @@ int main(int argc, char** argv) {
     // bit-sliced — the number the DSE actually feels when a width-12
     // config runs exhaustive. Metrics are asserted bit-identical in every
     // round while we are at it.
-    std::cout << "\nwidth-12 exhaustive sweep, scalar vs bit-sliced engine:\n";
+    std::cout << "\nwidth-12 exhaustive sweep, scalar vs bit-sliced engine (lane block: "
+              << LaneErrorAccumulator::block_name() << "):\n";
     std::vector<EngineRow> engine_rows;
     TextTable etable({"config", "scalar s", "sliced s", "speedup", "sliced ns/op"});
     std::vector<MultiplierConfig> w12_configs;
@@ -269,7 +273,7 @@ int main(int argc, char** argv) {
             row.scalar_seconds = std::min(
                 row.scalar_seconds, std::chrono::duration<double>(Clock::now() - t0).count());
             t0 = Clock::now();
-            const ErrorMetrics sliced_m = exhaustive_metrics_sliced(sliced);
+            const ErrorMetrics sliced_m = *exhaustive_metrics_sliced(sliced);
             row.sliced_seconds = std::min(
                 row.sliced_seconds, std::chrono::duration<double>(Clock::now() - t0).count());
             if (!(scalar_m == sliced_m)) {
@@ -364,7 +368,8 @@ int main(int argc, char** argv) {
             return 1;
         }
         std::cout << "  all " << engine_rows.size()
-                  << " sliced-engine rows within 30% of the committed record\n";
+                  << " sliced-engine rows within 30% of the committed record (lane block: "
+                  << LaneErrorAccumulator::block_name() << ")\n";
     }
     return 0;
 }

@@ -51,19 +51,6 @@ inline void sub_planes(uint64_t* planes, const uint64_t* sub, int lo, int hi) no
     }
 }
 
-void transpose64_scalar(uint64_t* dst, const uint64_t* src) {
-    if (dst != src) std::memcpy(dst, src, 64 * sizeof(uint64_t));
-    // Hacker's Delight 7-3, widened to 64x64: swap j-strided bit blocks.
-    uint64_t mask = 0x00000000FFFFFFFFull;
-    for (int j = 32; j != 0; j >>= 1, mask ^= mask << j) {
-        for (int k = 0; k < 64; k = (k + j + 1) & ~j) {
-            const uint64_t t = ((dst[k] >> j) ^ dst[k | j]) & mask;
-            dst[k] ^= t << j;
-            dst[k | j] ^= t;
-        }
-    }
-}
-
 #ifdef SDLC_SLICED_X86
 
 /// 64x64 bit transpose in ~50 vector ops. Decomposition: view the matrix as
@@ -139,12 +126,25 @@ TransposeFn pick_transpose() {
 #ifdef SDLC_SLICED_X86
     if (have_avx512_transpose()) return &transpose64_avx512;
 #endif
-    return &transpose64_scalar;
+    return &detail::transpose64_scalar;
 }
 
 const TransposeFn kTransposeFn = pick_transpose();
 
 }  // namespace
+
+void detail::transpose64_scalar(uint64_t dst[64], const uint64_t src[64]) {
+    if (dst != src) std::memcpy(dst, src, 64 * sizeof(uint64_t));
+    // Hacker's Delight 7-3, widened to 64x64: swap j-strided bit blocks.
+    uint64_t mask = 0x00000000FFFFFFFFull;
+    for (int j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+        for (int k = 0; k < 64; k = (k + j + 1) & ~j) {
+            const uint64_t t = ((dst[k] >> j) ^ dst[k | j]) & mask;
+            dst[k] ^= t << j;
+            dst[k | j] ^= t;
+        }
+    }
+}
 
 void transpose64_to(uint64_t dst[64], const uint64_t src[64]) { kTransposeFn(dst, src); }
 

@@ -65,6 +65,12 @@ void transpose64(uint64_t m[64]);
 /// vector implementation is selected at runtime; results are identical.
 void transpose64_to(uint64_t dst[64], const uint64_t src[64]);
 
+namespace detail {
+/// The portable transpose behind transpose64_to on CPUs without
+/// AVX-512+GFNI, exposed so one machine can test both (dst may alias src).
+void transpose64_scalar(uint64_t dst[64], const uint64_t src[64]);
+}  // namespace detail
+
 /// Per-configuration bit-sliced evaluator for the planned path.
 class SlicedMultiplyKernel {
 public:

@@ -1,5 +1,6 @@
 #include "dse/evaluator.h"
 
+#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <optional>
@@ -30,6 +31,15 @@ uint64_t point_seed(uint64_t base, const MultiplierConfig& c) {
     s ^= static_cast<uint64_t>(static_cast<int>(c.scheme));
     return SplitMix64(s).next();
 }
+
+/// Narrowest sliced function evaluate_sweep splits into shard-group tasks.
+/// A width-10 shard group is ~0.3 ms of work on one core, and each worker
+/// it lands on first pulls the kernel's tables (2^width entries for the
+/// compensated variant) into its cache: split there, a default width-8 or
+/// width-10 sweep spent 3-5% more CPU for no gain in wall time. From width
+/// 11 the split costs no measurable CPU, and at width 12 it cut a sweep's
+/// wall time by 6-8%.
+constexpr int kSplitWidth = 11;
 
 /// The error function a configuration computes: (width, variant, depth).
 /// The scheme is left out — it changes the adder tree, never the product.
@@ -134,12 +144,11 @@ namespace {
 /// Error step: one configuration's metrics. An exact kernel (the accurate
 /// variant, depth-1 compression) compares a*b against a*b, so it returns
 /// what the accumulator finalizes for an all-exact stream without running
-/// an engine: every metric zero, `samples` pairs counted. `shard_pool`
-/// (may be null) spreads the exhaustive shard grid over existing workers —
-/// evaluate_sweep passes its pool only for single-group sweeps, where the
-/// group runs inline on the caller and the pool would otherwise sit idle.
-ErrorMetrics evaluate_error(const MultiplierConfig& config, const EvalOptions& opts,
-                            ThreadPool* shard_pool) {
+/// an engine: every metric zero, `samples` pairs counted. evaluate_sweep
+/// calls it for every group it does not split into shard-group tasks. No
+/// result when `stop` fired inside the exhaustive engine.
+std::optional<ErrorMetrics> evaluate_error(const MultiplierConfig& config,
+                                           const EvalOptions& opts, const EvalStop& stop) {
     const ErrorEngine engine = select_error_engine(config, opts);
     if (std::strcmp(multiply_kernel_name(config), "accurate") == 0) {
         ErrorMetrics exact;
@@ -155,12 +164,10 @@ ErrorMetrics evaluate_error(const MultiplierConfig& config, const EvalOptions& o
     }
     // 64 products per bitwise op, bit-identical to the scalar
     // exhaustive_metrics reference (enforced by exhaustive tests). The
-    // shard grid is fixed, so the result is identical for every
-    // shard_pool size. The only non-exact configs the sliced engine
-    // rejects cannot be built; its constructor throws
-    // std::invalid_argument for them.
+    // only non-exact configs the sliced engine rejects cannot be built;
+    // its constructor throws std::invalid_argument for them.
     const SlicedMultiplyKernel kernel(config);
-    return exhaustive_metrics_sliced(kernel, /*max_threads=*/0, shard_pool);
+    return exhaustive_metrics_sliced(kernel, /*max_threads=*/0, /*pool=*/nullptr, stop);
 }
 
 /// Hardware step: builds and synthesizes one configuration.
@@ -181,7 +188,7 @@ SynthesisReport evaluate_hardware(const MultiplierConfig& config, const EvalOpti
 DesignPoint evaluate_point(const MultiplierConfig& config, const EvalOptions& opts) {
     DesignPoint point;
     point.config = config;
-    point.error = evaluate_error(config, opts, nullptr);
+    point.error = *evaluate_error(config, opts, EvalStop{});
     if (opts.evaluate_hardware) point.hw = evaluate_hardware(config, opts);
     return point;
 }
@@ -244,12 +251,32 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
         local_pool.emplace(opts.threads);
         pool = &*local_pool;
     }
-    // A one-group sweep runs inline on the caller (parallel_for's n == 1
-    // fast path), leaving the pool idle — hand it to the exhaustive engine
-    // so the shard grid parallelizes instead. With more groups the pool is
-    // busy with groups; an inner parallel_for from a pool worker would
-    // deadlock, so the engine then runs its shards inline.
-    ThreadPool* shard_pool = groups.size() == 1 ? pool : nullptr;
+    // Tasks: one per group, except that a function on the sliced engine
+    // from kSplitWidth up, or the only function of a sweep, is one task per
+    // shard group of its run (SlicedExhaustiveRun). So the workers share
+    // out a sweep's last functions instead of each finishing one while the
+    // others idle, and one function keeps every worker busy. The first
+    // task of a function to start builds its kernel; the one that finishes
+    // its last shard group merges the result, frees the kernel and takes
+    // the function's points.
+    struct SlicedFunction {
+        std::once_flag built;
+        std::optional<SlicedMultiplyKernel> kernel;
+        std::optional<SlicedExhaustiveRun> run;
+        std::atomic<unsigned> left{0};
+    };
+    std::vector<SlicedFunction> sliced(groups.size());
+    std::vector<std::pair<size_t, unsigned>> tasks;  // (group, shard group)
+    for (size_t g = 0; g < groups.size(); ++g) {
+        const MultiplierConfig& config = configs[groups[g].front()];
+        unsigned parts = 1;
+        if ((config.width >= kSplitWidth || groups.size() == 1) &&
+            select_error_engine(config, point_opts) == ErrorEngine::kExhaustiveSliced) {
+            parts = SlicedExhaustiveRun::groups(config.width);
+            sliced[g].left.store(parts, std::memory_order_relaxed);
+        }
+        for (unsigned part = 0; part < parts; ++part) tasks.emplace_back(g, part);
+    }
 
     // Ordered streaming: a worker finishing point i marks it ready, then
     // drains the contiguous ready prefix. Exactly one worker holds the
@@ -259,21 +286,45 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
     size_t next_emit = 0;
     std::vector<uint8_t> ready(configs.size(), 0);
 
-    const bool has_deadline = opts.deadline != std::chrono::steady_clock::time_point{};
+    // Checked before every task and point and, through the exhaustive
+    // engine, inside one.
+    const EvalStop stop{opts.cancel, opts.deadline};
+    const auto throw_stopped = [&stop] {
+        // The cancel flag and the deadline cannot un-fire.
+        if (stop.cancelled()) throw SweepCancelled();
+        throw SweepDeadlineExceeded();
+    };
+    const auto throw_if_stopped = [&] {
+        if (stop.cancelled() || stop.expired()) throw_stopped();
+    };
     std::atomic<size_t> error_evaluations{0};
-    parallel_for(*pool, groups.size(), [&](size_t g) {
+    parallel_for(*pool, tasks.size(), [&](size_t t) {
+        const auto [g, part] = tasks[t];
+        throw_if_stopped();
         ErrorMetrics error;
+        SlicedFunction& function = sliced[g];
+        const bool on_sliced = function.left.load(std::memory_order_relaxed) != 0;
+        if (on_sliced) {
+            std::call_once(function.built, [&] {
+                function.kernel.emplace(configs[groups[g].front()]);
+                function.run.emplace(*function.kernel);
+            });
+            if (!function.run->run_group(part, stop)) throw_stopped();
+            if (function.left.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+            error = function.run->result();
+            function.run.reset();
+            function.kernel.reset();
+            error_evaluations.fetch_add(1, std::memory_order_relaxed);
+        }
         for (const size_t i : groups[g]) {
-            if (opts.cancel != nullptr && opts.cancel->load(std::memory_order_relaxed)) {
-                throw SweepCancelled();
-            }
-            if (has_deadline && std::chrono::steady_clock::now() >= opts.deadline) {
-                throw SweepDeadlineExceeded();
-            }
+            throw_if_stopped();
             obs::ScopedSpan eval_span(opts.recorder, opts.trace, "kernel_eval");
             obs::ScopedBinding binding(opts.recorder, eval_span.context());
-            if (i == groups[g].front()) {
-                error = evaluate_error(configs[i], point_opts, shard_pool);
+            if (!on_sliced && i == groups[g].front()) {
+                const std::optional<ErrorMetrics> evaluated =
+                    evaluate_error(configs[i], point_opts, stop);
+                if (!evaluated) throw_stopped();
+                error = *evaluated;
                 error_evaluations.fetch_add(1, std::memory_order_relaxed);
             }
             points[i].config = configs[i];

@@ -11,8 +11,13 @@
 // on (width, variant, depth) — the accumulation scheme changes the adder
 // tree, not the product — so evaluate_sweep groups a sweep's points by that
 // key and distributes the groups over a ThreadPool: a group evaluates its
-// error once, then builds and synthesizes each member. A sampled point folds
-// its scheme into its seed and is a group of its own. Exact kernels (the
+// error once, then builds and synthesizes each member. A group on the
+// sliced engine is split further, into one task per shard group of its
+// exhaustive run: the worker that finishes the last one merges the error and
+// goes on to the members, and a sweep's last functions are shared out among
+// the workers instead of one worker finishing each while the rest idle.
+// A sampled point folds its scheme into its seed and is a group of its
+// own. Exact kernels (the
 // accurate variant, depth-1 compression) skip error evaluation: their
 // metrics are all zero.
 // Nothing is kept across sweeps, so every sweep (and every `dse_tool
@@ -102,11 +107,13 @@ struct EvalOptions {
     const std::atomic<bool>* cancel = nullptr;
     /// Cooperative wall-clock budget: when set (non-epoch), workers stop
     /// claiming points once the deadline passes and evaluate_sweep throws
-    /// SweepDeadlineExceeded. Checked at the same granularity as `cancel`
-    /// — before every design point, never inside one — so a single very
-    /// expensive point can overshoot the budget by its own cost. Points
-    /// already reported through on_point stay reported: the partial stream
-    /// is always a strict prefix of the full enumeration-order stream.
+    /// SweepDeadlineExceeded. Checked at the same granularity as `cancel`:
+    /// before every design point, and inside an exhaustive point once per
+    /// step of 8 stripes (error/evaluate_sliced.h), so one point overshoots
+    /// by at most a step (~2 ms at width 16 on one core). A sampled point
+    /// runs to its end, and evaluate_point ignores both. Points already
+    /// reported through on_point stay reported: the partial stream is
+    /// always a strict prefix of the full enumeration-order stream.
     std::chrono::steady_clock::time_point deadline{};
     /// Optional enumeration-index restriction: evaluate only the points at
     /// indices [shard_lo, shard_hi) of SweepSpec::enumerate() order — the
@@ -123,8 +130,10 @@ struct EvalOptions {
     /// valid trace context, evaluate_sweep records `enumerate` and
     /// per-point `kernel_eval` spans under `trace`, and binds the context
     /// on each eval worker so the synthesis cache records its
-    /// lookup/synthesize spans for the right request. Untraced sweeps pay
-    /// one branch per point; results are bit-identical either way.
+    /// lookup/synthesize spans for the right request. A function on the
+    /// sliced engine runs its shard groups as tasks of their own before
+    /// its points, outside any span. Untraced sweeps pay one branch per
+    /// point; results are bit-identical either way.
     obs::SpanRecorder* recorder = nullptr;
     obs::TraceContext trace;
 

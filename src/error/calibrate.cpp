@@ -18,7 +18,7 @@ EngineCalibration measure_engine_calibration() {
     volatile uint64_t sink = 0;
     for (int rep = 0; rep < 2; ++rep) {
         const auto t0 = std::chrono::steady_clock::now();
-        sink = sink + exhaustive_metrics_sliced(sliced).samples;
+        sink = sink + exhaustive_metrics_sliced(sliced)->samples;
         const double ns =
             std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - t0)
                 .count() /

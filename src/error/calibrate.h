@@ -29,9 +29,10 @@ struct EngineCalibration {
 [[nodiscard]] const EngineCalibration& engine_calibration();
 
 /// Widest exhaustive cutoff, the clamp of resolve_exhaustive_cutoff: the
-/// widest operand the sliced engine evaluates. One exhaustive point at this
-/// width is 2^32 operand pairs; cancel and deadline cannot interrupt a
-/// point, so the tool and protocol edges reject any wider cutoff.
+/// widest operand the sliced engine evaluates, so the tool and protocol
+/// edges reject any wider cutoff. One exhaustive point at this width is
+/// 2^32 operand pairs; cancel and deadline stop it within one step of 8
+/// stripes.
 inline constexpr int kMaxExhaustiveWidth = SlicedMultiplyKernel::kMaxWidth;
 
 /// Per-point time budget the tools and the service resolve the cutoff

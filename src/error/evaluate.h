@@ -13,6 +13,9 @@
 // shards across workers; because each shard accumulates the same pairs in
 // the same order and shards merge in index order, the result is
 // bit-identical for every worker count (and every machine's core count).
+// The sliced engine keeps that order contract, each shard's pairs in its
+// own order, while eight shards share one vector (LaneErrorAccumulator in
+// error/metrics.h), so it matches this reference bit for bit.
 //
 // Threading contract: by default (max_threads == 0, no pool) the shards run
 // inline on the calling thread. A caller that owns a ThreadPool passes it
@@ -48,7 +51,9 @@ namespace detail {
 /// parallelism was requested, over `pool` when one is provided, and on
 /// dedicated threads only for an explicit max_threads > 1. Shard results
 /// must be accumulated into per-shard state so the caller's merge order —
-/// not the scheduling — decides the result.
+/// not the scheduling — decides the result. `run_shard` must not throw:
+/// on a dedicated thread an exception would terminate the process. (The
+/// sliced engine passes shard groups as its "shards".)
 template <typename RunShard>
 void run_sharded(unsigned shards, unsigned max_threads, ThreadPool* pool,
                  RunShard&& run_shard) {

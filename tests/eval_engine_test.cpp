@@ -33,6 +33,7 @@
 // evaluate_point bit for bit (design_point_bits) at any thread count or
 // shard slice, and the stream stays a strict prefix under cancellation.
 // Exact kernels skip evaluation with the metrics the engines would give.
+// Cancel and deadline also stop a single exhaustive point mid-flight.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -45,6 +46,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -479,12 +481,38 @@ TEST(ExhaustiveEngine, SweepEqualsTheScalarReferenceBitForBit) {
     }
 }
 
+TEST(ExhaustiveEngine, ShardGroupsInAnyOrderGiveTheEngineBits) {
+    // evaluate_sweep runs a function's shard groups as separate pool tasks,
+    // finished in whatever order the workers get to them.
+    EXPECT_EQ(SlicedExhaustiveRun::groups(2), 1u);
+    EXPECT_EQ(SlicedExhaustiveRun::groups(5), 4u);
+    EXPECT_EQ(SlicedExhaustiveRun::groups(6), 8u);
+    EXPECT_EQ(SlicedExhaustiveRun::groups(16), 8u);
+    for (const int w : {2, 5, 9}) {
+        MultiplierConfig config = sdlc_config(w, 2);
+        config.variant = MultiplierVariant::kCompensated;
+        const SlicedMultiplyKernel kernel(config);
+        SlicedExhaustiveRun run(kernel);
+        ASSERT_EQ(run.groups(), SlicedExhaustiveRun::groups(w));
+        for (unsigned g = run.groups(); g-- > 0;) ASSERT_TRUE(run.run_group(g, EvalStop{}));
+        EXPECT_EQ(run.result(), *exhaustive_metrics_sliced(kernel)) << "width " << w;
+    }
+}
+
 TEST(GroupedSweep, EqualsPerPointEvaluationAtAnyThreadCount) {
-    // Every default grid at widths 2..8 (exhaustive) and a pinned-sampled
-    // width-9 grid.
+    // Every default grid at widths 2..8 (exhaustive), a pinned-sampled
+    // width-9 grid, and two width-11 functions, which the sweep splits
+    // into shard-group tasks.
     std::vector<std::pair<SweepSpec, EvalOptions>> cases;
     for (int w = 2; w <= 8; ++w) cases.emplace_back(SweepSpec::for_width(w), EvalOptions{});
     cases.emplace_back(SweepSpec::for_width(9), pinned_sampled());
+    SweepSpec split;
+    split.widths = {11};
+    split.min_depth = split.max_depth = 2;
+    split.variants = {MultiplierVariant::kSdlc, MultiplierVariant::kCompensated};
+    EvalOptions split_opts;
+    split_opts.exhaustive_max_width = 11;
+    cases.emplace_back(split, split_opts);
     for (const auto& [spec, base] : cases) {
         const std::vector<std::string> expected = per_point_bits(spec, base);
         for (const unsigned threads : {1u, 4u}) {
@@ -586,6 +614,65 @@ TEST(GroupedSweep, CancelInsideAGroupLeavesAStrictPrefix) {
         ASSERT_EQ(streamed.size(), 2u) << "threads " << threads;
         EXPECT_EQ(streamed[0], expected[0]);
         EXPECT_EQ(streamed[1], expected[1]);
+    }
+}
+
+// ------------------------------------------- stop inside one point ----
+
+TEST(StopInsideAPoint, CancelAndDeadlineInterruptOneExhaustivePoint) {
+    // One width-14 exhaustive point is 2^28 pairs, a single engine call.
+    // Cancel and deadline must stop it mid-flight, not after it: the
+    // shard groups poll them once per step of 8 stripes. The bound is a
+    // quarter of the same point's uncancelled time, so it holds under the
+    // sanitizers too. The point never completes, so nothing streams.
+    using Clock = std::chrono::steady_clock;
+    SweepSpec spec = SweepSpec::for_width(14);
+    spec.min_depth = spec.max_depth = 2;
+    spec.variants = {MultiplierVariant::kSdlc};
+    spec.schemes = {AccumulationScheme::kRowRipple};
+    ASSERT_EQ(spec.count(), 1u);
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        EvalOptions opts;
+        opts.threads = threads;
+        opts.resolved_exhaustive_width = 14;
+        opts.evaluate_hardware = false;
+        SweepStats stats;
+        auto t0 = Clock::now();
+        ASSERT_EQ(evaluate_sweep(spec, opts, &stats).size(), 1u);
+        const Clock::duration full = Clock::now() - t0;
+        ASSERT_EQ(stats.engines.sliced, 1u);
+        const Clock::duration fire_after =
+            std::min<Clock::duration>(std::chrono::milliseconds(20), full / 4);
+
+        size_t streamed = 0;
+        opts.on_point = [&streamed](size_t, const DesignPoint&) { ++streamed; };
+        std::atomic<bool> cancel{false};
+        opts.cancel = &cancel;
+        Clock::time_point fired;
+        std::thread canceller([&] {
+            std::this_thread::sleep_for(fire_after);
+            fired = Clock::now();
+            cancel.store(true);
+        });
+        EXPECT_THROW((void)evaluate_sweep(spec, opts), SweepCancelled);
+        const Clock::time_point cancelled = Clock::now();
+        canceller.join();
+        EXPECT_LT(cancelled - fired, full / 4)
+            << "cancel took " << std::chrono::duration<double>(cancelled - fired).count()
+            << " s; the whole point takes " << std::chrono::duration<double>(full).count()
+            << " s";
+
+        opts.cancel = nullptr;
+        opts.deadline = Clock::now() + fire_after;
+        EXPECT_THROW((void)evaluate_sweep(spec, opts), SweepDeadlineExceeded);
+        const Clock::time_point expired = Clock::now();
+        EXPECT_LT(expired - opts.deadline, full / 4)
+            << "deadline overshot by "
+            << std::chrono::duration<double>(expired - opts.deadline).count()
+            << " s; the whole point takes " << std::chrono::duration<double>(full).count()
+            << " s";
+        EXPECT_EQ(streamed, 0u);
     }
 }
 
