@@ -1,5 +1,5 @@
 // Kernel-dispatch throughput: plan-interpreter vs fast-path kernels vs the
-// bit-sliced engine, plus the end-to-end effect on the default DSE sweep
+// sliced engine, plus the end-to-end effect on the default DSE sweep
 // (cold and warm hardware cache) and a width-12 exhaustive engine
 // comparison over every sdlc and compensated depth. Writes BENCH_eval.json
 // so the perf trajectory is tracked across PRs.
@@ -7,7 +7,7 @@
 //   --quick       lighter per-config measurement budget
 //   --csv FILE    also dump the per-config table as CSV
 //   --json FILE   JSON output path (default: BENCH_eval.json in the CWD)
-//   --check FILE  regression guard: compare the measured bit-sliced
+//   --check FILE  regression guard: compare the measured sliced
 //                 engine against a committed BENCH_eval.json record and
 //                 exit nonzero when the sliced engine regressed by more
 //                 than 30% on any width-12 exhaustive row, or when a row
@@ -71,7 +71,7 @@ double measure_ns_per_op(int width, uint64_t ops_per_batch, double min_seconds, 
     return secs * 1e9 / static_cast<double>(ops);
 }
 
-/// ns per product through the bit-sliced fast path, measured the way a
+/// ns per product through the sliced engine, measured the way a
 /// sweep consumes it: prepare(a) once per stripe, then every aligned block
 /// of the full b range. Products per stripe = 2^width.
 double measure_sliced_ns_per_op(const SlicedMultiplyKernel& kernel, double min_seconds) {
@@ -197,7 +197,7 @@ int check_against(const std::string& path, const std::vector<EngineRow>& measure
 int main(int argc, char** argv) {
     const auto args = bench::BenchArgs::parse(argc, argv);
     bench::print_header(
-        "Evaluation-kernel throughput — interpreter vs fast-path vs bit-sliced",
+        "Evaluation-kernel throughput — interpreter vs fast-path vs sliced",
         "Specialized kernels make exhaustive error sweeps practical at wide operands.");
 
     const double budget = args.quick ? 0.02 : 0.1;
@@ -241,10 +241,10 @@ int main(int argc, char** argv) {
 
     // Width-12 exhaustive engine comparison at every sdlc and compensated
     // depth: the full 4^12-pair sweep with ErrorAccumulator, scalar vs
-    // bit-sliced — the number the DSE actually feels when a width-12
+    // sliced — the number the DSE actually feels when a width-12
     // config runs exhaustive. Metrics are asserted bit-identical in every
     // round while we are at it.
-    std::cout << "\nwidth-12 exhaustive sweep, scalar vs bit-sliced engine (lane block: "
+    std::cout << "\nwidth-12 exhaustive sweep, scalar vs sliced engine (lane block: "
               << LaneErrorAccumulator::block_name() << "):\n";
     std::vector<EngineRow> engine_rows;
     TextTable etable({"config", "scalar s", "sliced s", "speedup", "sliced ns/op"});

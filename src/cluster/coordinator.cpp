@@ -106,20 +106,6 @@ struct WorkerLink {
 
 }  // namespace
 
-RetryPolicy ClusterOptions::shard_policy() const noexcept {
-    RetryPolicy policy;
-    // shard_retries counts re-dispatches after the first failure, so the
-    // total attempt budget is one higher; exhausted(failures) then flips
-    // exactly where the historical `failures > shard_retries` check did.
-    policy.max_attempts = shard_retries < 0 ? 1 : shard_retries + 1;
-    policy.base_delay_ms = shard_backoff_ms;
-    policy.max_delay_ms = shard_backoff_ms > 0 ? int64_t{shard_backoff_ms} * 8 : 0;
-    policy.multiplier = 2.0;
-    policy.jitter = 0.25;
-    policy.seed = RetryPolicy::seed_from("cluster-shard");
-    return policy;
-}
-
 std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOptions& eval,
                                            const ClusterOptions& opts, SweepStats* stats,
                                            serve::ClusterCounters* counters) {
@@ -165,11 +151,6 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
 
     ShardMerger merger(lo, hi, eval.on_point);
 
-    // Shard re-dispatch schedule: exhaustion (run locally) and backoff
-    // delays come from the shared RetryPolicy vocabulary. With the default
-    // shard_backoff_ms of 0 every requeue is immediate.
-    const RetryPolicy retry = opts.shard_policy();
-
     // Shared dispatch state. `queue` holds plan indices awaiting a worker;
     // a shard leaves it either remotely completed or demoted to `local`.
     struct Dispatch {
@@ -178,9 +159,6 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
         std::deque<size_t> queue;
         std::vector<size_t> local;   ///< shards the coordinator runs itself
         std::vector<int> failures;   ///< per-shard failed remote attempts
-        /// Earliest re-dispatch time per shard (RetryPolicy backoff); a
-        /// queued shard before its time is skipped, not dropped.
-        std::vector<Clock::time_point> ready;
         size_t in_flight = 0;
         size_t live = 0;
         bool abort = false;
@@ -189,7 +167,6 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
     } d;
     for (size_t i = 0; i < plan.size(); ++i) d.queue.push_back(i);
     d.failures.assign(plan.size(), 0);
-    d.ready.assign(plan.size(), Clock::time_point{});
     d.live = opts.workers.size();
 
     const bool has_deadline = eval.deadline != Clock::time_point{};
@@ -198,7 +175,7 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
         return d.abort;
     };
 
-    // Traced sweeps record shard_dispatch/shard_retry_backoff/merge spans
+    // Traced sweeps record shard_dispatch/merge spans
     // here and harvest worker-side spans off shard done events; untraced
     // sweeps pay one null check per site. rec is thread-safe (sharded) and
     // outlives the dispatch threads, which join before we return.
@@ -315,36 +292,13 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
                 size_t shard_index = 0;
                 {
                     std::unique_lock<std::mutex> lock(d.m);
-                    bool claimed = false;
-                    while (!claimed) {
-                        d.cv.wait(lock, [&d] {
-                            return d.abort || !d.queue.empty() || d.in_flight == 0;
-                        });
-                        if (d.abort || d.queue.empty()) break;
-                        // Claim the first shard whose backoff has elapsed;
-                        // if every queued shard is still cooling down, sleep
-                        // until the earliest becomes eligible.
-                        const Clock::time_point now = Clock::now();
-                        Clock::time_point earliest = Clock::time_point::max();
-                        for (size_t qi = 0; qi < d.queue.size(); ++qi) {
-                            const size_t candidate = d.queue[qi];
-                            if (d.ready[candidate] <= now) {
-                                shard_index = candidate;
-                                d.queue.erase(d.queue.begin() +
-                                              static_cast<std::ptrdiff_t>(qi));
-                                ++d.in_flight;
-                                claimed = true;
-                                break;
-                            }
-                            earliest = std::min(earliest, d.ready[candidate]);
-                        }
-                        if (!claimed) {
-                            obs::ScopedSpan backoff_span(rec, eval.trace,
-                                                         "shard_retry_backoff");
-                            d.cv.wait_until(lock, earliest);
-                        }
-                    }
-                    if (!claimed) break;
+                    d.cv.wait(lock, [&d] {
+                        return d.abort || !d.queue.empty() || d.in_flight == 0;
+                    });
+                    if (d.abort || d.queue.empty()) break;
+                    shard_index = d.queue.front();
+                    d.queue.pop_front();
+                    ++d.in_flight;
                 }
                 bool dispatched = false;
                 WorkerLink::Read outcome = WorkerLink::Read::kFailed;
@@ -373,18 +327,12 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
                         dead = true;
                     } else {
                         // This worker is out for the rest of the sweep. The
-                        // shard goes back to the surviving peers unless it
-                        // has exhausted its remote attempt budget.
+                        // shard goes straight back to the surviving peers
+                        // unless it has exhausted its remote attempt budget.
                         if (dispatched) ++wc.retried;
-                        const int failures = ++d.failures[shard_index];
-                        if (retry.exhausted(failures)) {
+                        if (++d.failures[shard_index] > opts.shard_retries) {
                             d.local.push_back(shard_index);
                         } else {
-                            RetryPolicy per_shard = retry;
-                            per_shard.seed += shard_index;  // desync shards
-                            d.ready[shard_index] =
-                                Clock::now() +
-                                std::chrono::milliseconds(per_shard.delay_ms(failures));
                             d.queue.push_back(shard_index);
                         }
                         dead = true;

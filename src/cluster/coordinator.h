@@ -28,7 +28,6 @@
 #include "dse/sweep.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
-#include "util/retry.h"
 
 namespace sdlc::cluster {
 
@@ -42,23 +41,15 @@ struct ClusterOptions {
     /// exactly the same indices.
     size_t shards = 32;
     /// Remote re-dispatches allowed per shard after its first failure
-    /// before the coordinator executes it locally.
+    /// before the coordinator executes it locally. A failed shard is
+    /// requeued at once.
     int shard_retries = 2;
-    /// Backoff before a failed shard is re-dispatched: first-failure base
-    /// of a capped exponential with deterministic jitter (RetryPolicy).
-    /// 0 (the default) requeues immediately — the historical behavior.
-    int shard_backoff_ms = 0;
     /// Read-silence budget per shard stream: a worker that produces no
     /// bytes for this long is treated as dead and its shard requeued.
     /// <= 0 disables the budget (failures are then EOF/error only).
     int shard_timeout_ms = 60000;
     /// Per-worker connect budget.
     int connect_timeout_ms = 2000;
-
-    /// The shard re-dispatch schedule as a RetryPolicy: shard_retries maps
-    /// to the attempt budget (exhausted() == "run it locally"),
-    /// shard_backoff_ms to the delay curve.
-    [[nodiscard]] RetryPolicy shard_policy() const noexcept;
 };
 
 /// Runs `spec` distributed over `opts.workers`, honoring `eval`'s cancel /

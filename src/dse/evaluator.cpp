@@ -162,12 +162,12 @@ std::optional<ErrorMetrics> evaluate_error(const MultiplierConfig& config,
             config.width, opts.samples, point_seed(opts.seed, config), opts.distribution,
             [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); });
     }
-    // 64 products per bitwise op, bit-identical to the scalar
+    // 64 products per block, bit-identical to the scalar
     // exhaustive_metrics reference (enforced by exhaustive tests). The
     // only non-exact configs the sliced engine rejects cannot be built;
     // its constructor throws std::invalid_argument for them.
     const SlicedMultiplyKernel kernel(config);
-    return exhaustive_metrics_sliced(kernel, /*max_threads=*/0, /*pool=*/nullptr, stop);
+    return exhaustive_metrics_sliced(kernel, stop);
 }
 
 /// Hardware step: builds and synthesizes one configuration.

@@ -23,7 +23,7 @@
 // Nothing is kept across sweeps, so every sweep (and every `dse_tool
 // --repeat` run) re-evaluates each function and rechecks the engines.
 //
-// Exhaustive error evaluation runs on the bit-sliced engine
+// Exhaustive error evaluation runs on the sliced block engine
 // (core/kernels_sliced.h), sampling on the scalar MultiplyKernel
 // (core/kernels.h), and hardware cost is memoized in a content-keyed
 // CostCache shared across the sweep; all produce results bit-identical to
@@ -157,7 +157,7 @@ struct SweepDeadlineExceeded : std::runtime_error {
 
 /// Which error engine evaluate_point runs for one configuration.
 enum class ErrorEngine {
-    kExhaustiveSliced,  ///< bit-sliced exhaustive (core/kernels_sliced.h)
+    kExhaustiveSliced,  ///< sliced exhaustive (core/kernels_sliced.h)
     kExhaustiveScalar,  ///< exact kernel at or below the cutoff: no engine runs
     kSampled,           ///< seeded Monte-Carlo (width above the cutoff)
 };
@@ -166,7 +166,7 @@ enum class ErrorEngine {
 [[nodiscard]] const char* error_engine_name(ErrorEngine e) noexcept;
 
 /// Pure engine choice for one configuration: sampling above the cutoff
-/// (EvalOptions::exhaustive_cutoff); otherwise the bit-sliced engine when
+/// (EvalOptions::exhaustive_cutoff); otherwise the sliced engine when
 /// the config is eligible, else kExhaustiveScalar — an exact kernel
 /// (accurate, depth 1), whose all-zero metrics need no engine.
 /// Deterministic given (config, opts) — the coordinator replays it to

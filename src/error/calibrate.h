@@ -2,8 +2,8 @@
 // exhaustive-vs-sampled cutoff.
 //
 // A fixed cutoff samples widths whose full sweep would cost only
-// milliseconds. Instead the bit-sliced engine (the one exhaustive engine)
-// is timed once per process (one small exhaustive sweep, ~10 ms) and the
+// milliseconds. Instead the sliced engine (the one exhaustive engine) is
+// timed once per process (one small exhaustive sweep, ~10 ms) and the
 // cutoff is the largest width whose full sweep fits a per-point time
 // budget. Resolution is a pure function of (calibration, floor, budget) —
 // the measured rate varies per machine, so callers that need
@@ -18,7 +18,7 @@ namespace sdlc {
 
 /// Measured exhaustive-evaluation cost per operand pair.
 struct EngineCalibration {
-    double sliced_ns = 0.0;  ///< bit-sliced engine (64 lanes per op)
+    double sliced_ns = 0.0;  ///< sliced engine: kernel and accumulator, per pair
 };
 
 /// Times a small exhaustive sweep on the sliced engine and returns its

@@ -1,6 +1,6 @@
 // Exhaustive and Monte-Carlo error evaluation engines.
 //
-// Design-space sweeps run their exhaustive points on the bit-sliced engine
+// Design-space sweeps run their exhaustive points on the sliced engine
 // (error/evaluate_sliced.h); exhaustive_metrics below is its bit-exact
 // reference oracle and the engine of the paper-table tests and benches.
 //
@@ -20,9 +20,7 @@
 // Threading contract: by default (max_threads == 0, no pool) the shards run
 // inline on the calling thread. A caller that owns a ThreadPool passes it
 // to spread shards over existing workers; only an explicit max_threads > 1
-// spawns dedicated threads. (The engine used to default to
-// hardware_concurrency() raw std::threads on every call, which
-// oversubscribed N*M threads when invoked from resident pool workers.)
+// spawns dedicated threads.
 //
 // The inner loop is strength-reduced: the exact product a*b advances by
 // adding `a` as `b` steps through a tile, so no hardware multiply is spent
@@ -52,8 +50,7 @@ namespace detail {
 /// dedicated threads only for an explicit max_threads > 1. Shard results
 /// must be accumulated into per-shard state so the caller's merge order —
 /// not the scheduling — decides the result. `run_shard` must not throw:
-/// on a dedicated thread an exception would terminate the process. (The
-/// sliced engine passes shard groups as its "shards".)
+/// on a dedicated thread an exception would terminate the process.
 template <typename RunShard>
 void run_sharded(unsigned shards, unsigned max_threads, ThreadPool* pool,
                  RunShard&& run_shard) {

@@ -63,14 +63,11 @@ ErrorMetrics SlicedExhaustiveRun::result() const noexcept {
 }
 
 std::optional<ErrorMetrics> exhaustive_metrics_sliced(const SlicedMultiplyKernel& kernel,
-                                                      unsigned max_threads, ThreadPool* pool,
                                                       const EvalStop& stop) {
     SlicedExhaustiveRun run(kernel);
-    std::atomic<bool> stopped{false};
-    detail::run_sharded(run.groups(), max_threads, pool, [&](unsigned g) {
-        if (!run.run_group(g, stop)) stopped.store(true, std::memory_order_relaxed);
-    });
-    if (stopped.load(std::memory_order_relaxed)) return std::nullopt;
+    for (unsigned g = 0; g < run.groups(); ++g) {
+        if (!run.run_group(g, stop)) return std::nullopt;
+    }
     return run.result();
 }
 

@@ -1,10 +1,10 @@
-// Exhaustive error evaluation on the bit-sliced kernel.
+// Exhaustive error evaluation on the block kernel (core/kernels_sliced.h).
 //
 // Same shard grid, same per-shard (a, b) visit order and same merge order
 // as the scalar exhaustive_metrics(). Two things change. Each stripe
 // evaluates 64 consecutive b values per block through
-// SlicedMultiplyKernel's prepared fast path instead of one scalar kernel
-// call per pair. And the 64 shards run as 8 groups of 8 in lockstep: one
+// SlicedMultiplyKernel's prepared path instead of one scalar kernel call
+// per pair. And the 64 shards run as 8 groups of 8 in lockstep: one
 // LaneErrorAccumulator per group holds shard k of the group in lane k, so
 // each shard still adds its own pairs in its own order, and eight shards
 // share one vector. After the sweep every lane becomes the shard's
@@ -26,8 +26,6 @@
 #include "error/metrics.h"
 
 namespace sdlc {
-
-class ThreadPool;
 
 /// When an exhaustive evaluation gives up: a cancel flag, a deadline, both
 /// or (the default) neither.
@@ -77,14 +75,12 @@ private:
     std::vector<LaneErrorAccumulator> accs_;
 };
 
-/// Exhaustive metrics over every operand pair of the kernel's width.
-/// Threading contract matches exhaustive_metrics(): inline by default,
-/// shard groups over `pool` when provided, dedicated threads only for an
-/// explicit max_threads > 1. Once `stop` fires, every shard group returns
-/// at its next poll and so does the engine, with no result.
+/// Exhaustive metrics over every operand pair of the kernel's width, on
+/// the calling thread: SlicedExhaustiveRun's groups in order. Once `stop`
+/// fires, the running group returns at its next poll and so does the
+/// engine, with no result.
 [[nodiscard]] std::optional<ErrorMetrics> exhaustive_metrics_sliced(
-    const SlicedMultiplyKernel& kernel, unsigned max_threads = 0, ThreadPool* pool = nullptr,
-    const EvalStop& stop = {});
+    const SlicedMultiplyKernel& kernel, const EvalStop& stop = {});
 
 }  // namespace sdlc
 

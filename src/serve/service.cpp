@@ -241,8 +241,17 @@ bool SweepService::shutdown_requested() const {
 }
 
 void SweepService::set_on_shutdown(std::function<void()> hook) {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    on_shutdown_ = std::move(hook);
+    {
+        std::lock_guard<std::mutex> lock(state_mutex_);
+        if (!shutdown_requested_) {
+            on_shutdown_ = std::move(hook);
+            return;
+        }
+    }
+    // Shutdown was requested before the front-end got to install its
+    // hook (a listener thread that starts late): fire it now, or the
+    // accept loop it unblocks would never end.
+    if (hook) hook();
 }
 
 ServiceStats SweepService::stats() const {

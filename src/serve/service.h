@@ -111,7 +111,8 @@ public:
     [[nodiscard]] bool shutdown_requested() const;
 
     /// Invoked exactly once when shutdown is first requested — a transport
-    /// front-end hooks this to unblock its accept/read loop. Set before
+    /// front-end hooks this to unblock its accept/read loop — or at once
+    /// when shutdown was requested before the hook was set. Set before
     /// the first request is submitted.
     void set_on_shutdown(std::function<void()> hook);
 

@@ -5,6 +5,7 @@
 // CoordinatorService end to end against in-process worker replicas —
 // including dead-worker local fallback and retry accounting.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -419,6 +420,57 @@ TEST(DistributedSweepTest, DeadWorkerInListRetriesOnSurvivor) {
     EXPECT_EQ(counters.workers.at(0).completed, 6u);
     EXPECT_EQ(counters.workers.at(1).completed, 0u);
     EXPECT_EQ(counters.local_shards, 0u);
+}
+
+/// A replica that accepts every connection and closes it at once, so every
+/// shard sent to it fails after it was dispatched.
+struct ClosingWorker {
+    serve::TcpSocketServer listener{"127.0.0.1", 0};
+    std::thread loop;
+
+    ClosingWorker() {
+        loop = std::thread([this] {
+            for (int fd = listener.accept_client(); fd != -1; fd = listener.accept_client()) {
+                ::close(fd);
+            }
+        });
+    }
+
+    [[nodiscard]] std::string spec() const {
+        return "127.0.0.1:" + std::to_string(listener.port());
+    }
+
+    ~ClosingWorker() {
+        listener.close();
+        loop.join();
+    }
+};
+
+TEST(DistributedSweepTest, ShardRunsLocallyOnceItsRetriesAreSpent) {
+    // One shard, one retry, two replicas that fail whatever they are sent:
+    // the shard is dispatched twice, once to each, and then the
+    // coordinator runs it itself.
+    ClosingWorker w1;
+    ClosingWorker w2;
+    const SweepSpec spec = SweepSpec::for_width(4);
+    EvalOptions eval;
+    eval.threads = 1;
+    const std::vector<DesignPoint> local = evaluate_sweep(spec, eval);
+
+    ClusterOptions cluster;
+    cluster.workers = {w1.spec(), w2.spec()};
+    cluster.shards = 1;
+    cluster.shard_retries = 1;
+    serve::ClusterCounters counters;
+    const std::vector<DesignPoint> merged =
+        distributed_sweep(spec, eval, cluster, nullptr, &counters);
+    EXPECT_TRUE(points_identical(local, merged));
+    for (const serve::ClusterWorkerCounters& w : counters.workers) {
+        EXPECT_EQ(w.dispatched, 1u) << w.spec;
+        EXPECT_EQ(w.retried, 1u) << w.spec;
+        EXPECT_EQ(w.completed, 0u) << w.spec;
+    }
+    EXPECT_EQ(counters.local_shards, 1u);
 }
 
 TEST(DistributedSweepTest, CancelAborts) {

@@ -212,8 +212,8 @@ TEST(CutoffResolution, NeverDemotesAndClampsTo16) {
 }
 
 TEST(CutoffResolution, MeasuredCalibrationIsSane) {
-    // The real measurement: a positive rate of a few ns per pair (64 lanes
-    // per bitwise op); 1 us per pair would mean a broken measurement.
+    // The real measurement: a positive rate of a few ns per pair (64
+    // products per block); 1 us per pair would mean a broken measurement.
     const EngineCalibration& cal = engine_calibration();
     EXPECT_GT(cal.sliced_ns, 0.0);
     EXPECT_LT(cal.sliced_ns, 1000.0);

@@ -98,12 +98,11 @@ TEST(KernelNetlistDifferential, SweepGridWidths2To8) {
     }
 }
 
-/// Closes the same gap for the bit-sliced engine: for every eligible grid
-/// config, a sliced block's 64 products match the simulated netlist
+/// Closes the same gap for the sliced engine: for every eligible grid
+/// config, every block of a few `a` stripes matches the simulated netlist
 /// directly (not just the scalar kernel — kernels_sliced_test covers that
-/// exhaustively). A few `a` stripes with one aligned and one unaligned
-/// block per stripe pin the transpose and lane-extraction paths against
-/// the hardware model.
+/// exhaustively). That pins prepare()'s per-lane tables, the straddling
+/// group's merge and the compensation table against the hardware model.
 TEST(KernelNetlistDifferential, SlicedEngineMatchesNetlist) {
     SweepSpec spec;
     spec.widths.clear();
@@ -116,30 +115,18 @@ TEST(KernelNetlistDifferential, SlicedEngineMatchesNetlist) {
         const uint64_t side = uint64_t{1} << config.width;
         const unsigned lanes = sliced.natural_lanes();
         uint64_t out[64];
-        std::vector<uint64_t> as, bs;
+        std::vector<uint64_t> as, bs(lanes);
         for (const uint64_t a : {uint64_t{0}, side / 2, side - 1}) {
-            // One aligned prepared block...
             SlicedMultiplyKernel::Prepared prep;
             sliced.prepare(a, prep);
-            const uint64_t b0 = side >= 2 * lanes ? side - lanes : 0;
-            sliced.multiply_block_prepared(prep, b0, out);
             as.assign(lanes, a);
-            bs.resize(lanes);
-            for (unsigned l = 0; l < lanes; ++l) bs[l] = b0 + l;
-            std::vector<uint64_t> products = simulate_batch(m, as, bs);
-            for (unsigned l = 0; l < lanes; ++l) {
-                ASSERT_EQ(products[l], out[l]) << "aligned a=" << a << " b=" << b0 + l;
-            }
-            // ...and one misaligned partial block through the general path.
-            const unsigned partial = lanes > 1 ? lanes - 1 : 1;
-            const uint64_t b1 = side > partial + 1 ? 1 : 0;
-            sliced.multiply_block(a, b1, partial, out);
-            as.assign(partial, a);
-            bs.resize(partial);
-            for (unsigned l = 0; l < partial; ++l) bs[l] = b1 + l;
-            products = simulate_batch(m, as, bs);
-            for (unsigned l = 0; l < partial; ++l) {
-                ASSERT_EQ(products[l], out[l]) << "unaligned a=" << a << " b=" << b1 + l;
+            for (uint64_t b0 = 0; b0 < side; b0 += lanes) {
+                sliced.multiply_block_prepared(prep, b0, out);
+                for (unsigned l = 0; l < lanes; ++l) bs[l] = b0 + l;
+                const std::vector<uint64_t> products = simulate_batch(m, as, bs);
+                for (unsigned l = 0; l < lanes; ++l) {
+                    ASSERT_EQ(products[l], out[l]) << "a=" << a << " b=" << b0 + l;
+                }
             }
         }
         if (HasFatalFailure()) return;

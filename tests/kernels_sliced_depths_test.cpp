@@ -1,4 +1,4 @@
-// Every depth at widths 9-16 through the bit-sliced kernel, at kernel level.
+// Every depth at widths 9-16 through the sliced kernel, at kernel level.
 //
 // kernels_sliced_test exhausts the operand square at widths 2-8, where a
 // group straddling bit 6 holds at most two rows at or above it. Wider
@@ -16,9 +16,7 @@
 //
 // For both approximate variants at every depth, prepare(a) then every
 // aligned block of the full b range is compared with MultiplyKernel for
-// a in {0, 1, mask, one seeded random operand}. The general
-// multiply_block path gets partial blocks that end at b = mask and blocks
-// that run past it, which index the table modulo 2^width.
+// a in {0, 1, mask, one seeded random operand}.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -84,33 +82,6 @@ TEST(SlicedDepths, EveryDepthWidths9To16MatchesScalarOverEveryAlignedBlock) {
     }
     // Depths 2..w for both variants: 2 * sum_{w=9}^{16} (w - 1).
     EXPECT_EQ(configs, 184u);
-}
-
-TEST(SlicedDepths, PartialBlocksAtAndPastTheTopOfTheCompensationTable) {
-    for (const MultiplierConfig& config :
-         {make_config(12, 7, MultiplierVariant::kCompensated),
-          make_config(16, 16, MultiplierVariant::kCompensated)}) {
-        SCOPED_TRACE(ApproxMultiplier(config).describe());
-        const MultiplyKernel scalar(config);
-        const SlicedMultiplyKernel sliced(config);
-        const uint64_t side = uint64_t{1} << config.width;
-        uint64_t out[64];
-        for (const uint64_t a : operands(config.width)) {
-            for (unsigned lanes = 1; lanes <= 64; ++lanes) {
-                // Ends exactly at b = mask.
-                const uint64_t last = side - lanes;
-                sliced.multiply_block(a, last, lanes, out);
-                ASSERT_EQ(first_mismatch(scalar, a, last, lanes, out), -1)
-                    << "a=" << a << " b0=" << last << " lanes=" << lanes;
-                // Runs past b = mask: the table is read modulo 2^width,
-                // as MultiplyKernel reads only the rows below the width.
-                const uint64_t past = side - lanes / 2 - 1;
-                sliced.multiply_block(a, past, lanes, out);
-                ASSERT_EQ(first_mismatch(scalar, a, past, lanes, out), -1)
-                    << "a=" << a << " b0=" << past << " lanes=" << lanes;
-            }
-        }
-    }
 }
 
 }  // namespace

@@ -165,10 +165,6 @@ check_exit "non-numeric shards" 2 $?
 check_exit "workers in client mode" 2 $?
 "$tool" --scrape --socket "$sock" --shards 4 2>/dev/null
 check_exit "shards in scrape mode" 2 $?
-"$tool" --shard-backoff-ms 50 </dev/null 2>/dev/null
-check_exit "shard backoff without workers" 2 $?
-"$tool" --client good.ndjson --socket "$sock" --shard-backoff-ms 50 2>/dev/null
-check_exit "shard backoff in client mode" 2 $?
 
 # Observability flag usage contract: --access-log and --trace-out are
 # server-side options; dangling values are usage errors.
@@ -200,8 +196,6 @@ check_exit "dse_tool shard timeout without workers" 2 $?
 check_exit "dse_tool shard retries without workers" 2 $?
 "$dse" --workers unix:w.sock --shards 0 2>/dev/null
 check_exit "dse_tool zero shards" 2 $?
-"$dse" --shard-backoff-ms 50 2>/dev/null
-check_exit "dse_tool shard backoff without workers" 2 $?
 
 # End to end: a coordinator serving a client sweep through one worker
 # replica exits 0 all the way down.

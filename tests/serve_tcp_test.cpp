@@ -2,7 +2,8 @@
 // parsing, ephemeral-port binding, full request/response round-trips over
 // real sockets through the shared serve_listener() loop (the same code
 // path serve_tool --listen-tcp runs), concurrent clients, oversized-line
-// rejection, and drain-on-shutdown.
+// rejection, and drain-on-shutdown, including a shutdown requested before
+// the loop starts.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -307,6 +308,19 @@ TEST(ServeTcp, ShutdownDrainsAcceptedTcpRequests) {
     EXPECT_TRUE(sweep_completed);
     fx.loop.join();  // the listener loop must terminate on its own
     EXPECT_TRUE(fx.service->shutdown_requested());
+}
+
+TEST(ServeTcp, ShutdownRequestedBeforeTheLoopStartsEndsIt) {
+    // An owner that starts the listener on a thread of its own can request
+    // shutdown before that thread installs its hook; the loop must still
+    // end instead of accepting forever.
+    ServiceOptions opts;
+    opts.eval_threads = 1;
+    SweepService service(opts);
+    TcpSocketServer listener("127.0.0.1", 0);
+    service.request_shutdown();
+    serve_listener(listener, service, opts.max_request_bytes);
+    EXPECT_TRUE(service.shutdown_requested());
 }
 
 }  // namespace

@@ -88,9 +88,6 @@ using namespace sdlc;
         "                         is declared dead (default 60000; 0 = none)\n"
         "    --shard-retries N    remote re-dispatches per shard after its first\n"
         "                         failure before it runs locally (default 2)\n"
-        "    --shard-backoff-ms N first-failure backoff before a shard is\n"
-        "                         re-dispatched; grows exponentially with\n"
-        "                         deterministic jitter (default 0 = immediate)\n"
         "  selection:\n"
         "    --objectives LIST    frontier axes: comma list of error,area,power,\n"
         "                         delay,energy,maxred (default error,area,power,delay)\n"
@@ -120,7 +117,7 @@ public:
             "--max-mred", "--max-area", "--max-power", "--max-delay", "--csv",
             "--json",     "--repeat",   "--objectives", "--workers",
             "--shards",   "--shard-timeout-ms",           "--shard-retries",
-            "--shard-backoff-ms",       "--trace-out"};
+            "--trace-out"};
         for (int i = 1; i < argc; ++i) {
             std::string key = argv[i];
             if (key == "--help" || key == "-h") usage();
@@ -246,8 +243,7 @@ bool sweeps_identical(const std::vector<DesignPoint>& a, const std::vector<Desig
 cluster::ClusterOptions cluster_options_from(const Args& args) {
     cluster::ClusterOptions cluster;
     if (!args.has("--workers")) {
-        for (const char* flag :
-             {"--shards", "--shard-timeout-ms", "--shard-retries", "--shard-backoff-ms"}) {
+        for (const char* flag : {"--shards", "--shard-timeout-ms", "--shard-retries"}) {
             if (args.has(flag)) usage(std::string(flag) + " requires --workers LIST");
         }
         return cluster;
@@ -264,8 +260,6 @@ cluster::ClusterOptions cluster_options_from(const Args& args) {
     if (cluster.shard_timeout_ms < 0) usage("--shard-timeout-ms must be >= 0");
     cluster.shard_retries = args.get_int("--shard-retries", 2);
     if (cluster.shard_retries < 0) usage("--shard-retries must be >= 0");
-    cluster.shard_backoff_ms = args.get_int("--shard-backoff-ms", 0);
-    if (cluster.shard_backoff_ms < 0) usage("--shard-backoff-ms must be >= 0");
     return cluster;
 }
 

@@ -104,9 +104,6 @@ using namespace sdlc::serve;
         "                         is declared dead (default 60000; 0 = none)\n"
         "    --shard-retries N    remote re-dispatches per shard after its first\n"
         "                         failure before it runs locally (default 2)\n"
-        "    --shard-backoff-ms N first-failure backoff before a shard is\n"
-        "                         re-dispatched; grows exponentially with\n"
-        "                         deterministic jitter (default 0 = immediate)\n"
         "  client:\n"
         "    --client FILE        send FILE's request lines ('-' = stdin)\n"
         "    --socket PATH        server Unix socket to connect to\n"
@@ -136,7 +133,7 @@ struct Args {
                                                   "--tcp",            "--output",
                                                   "--shards",
                                                   "--shard-timeout-ms", "--shard-retries",
-                                                  "--shard-backoff-ms", "--access-log",
+                                                  "--access-log",
                                                   "--trace-out",      "--listen-http",
                                                   "--auth-token-file", "--quota-rps",
                                                   "--quota-burst",    "--http"};
@@ -223,8 +220,7 @@ void write_trace_out(const Args& args, const SweepService& service) {
 std::unique_ptr<SweepService> make_service(const Args& args, const ServiceOptions& opts) {
     const bool clustered = args.values.count("--workers") != 0;
     if (!clustered) {
-        for (const char* flag :
-             {"--shards", "--shard-timeout-ms", "--shard-retries", "--shard-backoff-ms"}) {
+        for (const char* flag : {"--shards", "--shard-timeout-ms", "--shard-retries"}) {
             if (args.values.count(flag) != 0) {
                 usage(std::string(flag) + " requires --workers LIST");
             }
@@ -241,7 +237,6 @@ std::unique_ptr<SweepService> make_service(const Args& args, const ServiceOption
     if (cluster.shards == 0) usage("--shards must be >= 1");
     cluster.shard_timeout_ms = static_cast<int>(args.get_long("--shard-timeout-ms", 60000));
     cluster.shard_retries = static_cast<int>(args.get_long("--shard-retries", 2));
-    cluster.shard_backoff_ms = static_cast<int>(args.get_long("--shard-backoff-ms", 0));
     return std::make_unique<cluster::CoordinatorService>(opts, std::move(cluster));
 }
 
@@ -687,10 +682,8 @@ int main(int argc, char** argv) {
         if ((client || scrape) &&
             (args.values.count("--workers") != 0 || args.values.count("--shards") != 0 ||
              args.values.count("--shard-timeout-ms") != 0 ||
-             args.values.count("--shard-retries") != 0 ||
-             args.values.count("--shard-backoff-ms") != 0)) {
-            usage("--workers/--shards/--shard-timeout-ms/--shard-retries/--shard-backoff-ms "
-                  "are server options");
+             args.values.count("--shard-retries") != 0)) {
+            usage("--workers/--shards/--shard-timeout-ms/--shard-retries are server options");
         }
         if (scrape) return run_scrape(args);
         if (client) return run_client(args);
