@@ -21,14 +21,15 @@ namespace sdlc {
 
 namespace {
 
-/// Folds the configuration into the base seed so every point gets its own
-/// reproducible random stream, independent of evaluation order.
+/// Folds the error function (width, variant, depth) into the base seed, so
+/// each function gets its own reproducible random stream, independent of
+/// evaluation order. The scheme is left out: it never changes a product, so
+/// the schemes of one function draw the same pairs.
 uint64_t point_seed(uint64_t base, const MultiplierConfig& c) {
     SplitMix64 sm(base);
     uint64_t s = sm.next() ^ (static_cast<uint64_t>(c.width) << 40);
     s ^= static_cast<uint64_t>(c.depth) << 24;
     s ^= static_cast<uint64_t>(static_cast<int>(c.variant)) << 16;
-    s ^= static_cast<uint64_t>(static_cast<int>(c.scheme));
     return SplitMix64(s).next();
 }
 
@@ -64,16 +65,28 @@ uint64_t draw_operand(Xoshiro256& rng, uint64_t mask, OperandDistribution dist) 
     return rng.next() & mask;
 }
 
+/// Pairs a sampled evaluation draws between two polls of its stop: ~2 ms
+/// for the slowest width-16 function on one core.
+constexpr uint64_t kSampledPollPairs = 4096;
+
+/// Seeded Monte-Carlo metrics over `samples` pairs drawn from `dist`. Polls
+/// `stop` every kSampledPollPairs pairs and, once it fires, returns no
+/// result, like the exhaustive engine.
 template <typename Fn>
-ErrorMetrics sampled_distribution_metrics(int width, uint64_t samples, uint64_t seed,
-                                          OperandDistribution dist, Fn approx) {
+std::optional<ErrorMetrics> sampled_distribution_metrics(int width, uint64_t samples,
+                                                         uint64_t seed, OperandDistribution dist,
+                                                         const EvalStop& stop, Fn approx) {
     ErrorAccumulator acc(width);
     Xoshiro256 rng(seed);
     const uint64_t mask = (uint64_t{1} << width) - 1;
-    for (uint64_t i = 0; i < samples; ++i) {
-        const uint64_t a = draw_operand(rng, mask, dist);
-        const uint64_t b = draw_operand(rng, mask, dist);
-        acc.add(a * b, approx(a, b));
+    for (uint64_t done = 0; done < samples; done += kSampledPollPairs) {
+        if (stop.cancelled() || stop.expired()) return std::nullopt;
+        const uint64_t end = std::min(samples, done + kSampledPollPairs);
+        for (uint64_t i = done; i < end; ++i) {
+            const uint64_t a = draw_operand(rng, mask, dist);
+            const uint64_t b = draw_operand(rng, mask, dist);
+            acc.add(a * b, approx(a, b));
+        }
     }
     return acc.finalize();
 }
@@ -146,7 +159,7 @@ namespace {
 /// what the accumulator finalizes for an all-exact stream without running
 /// an engine: every metric zero, `samples` pairs counted. evaluate_sweep
 /// calls it for every group it does not split into shard-group tasks. No
-/// result when `stop` fired inside the exhaustive engine.
+/// result when `stop` fired inside the exhaustive or the sampled engine.
 std::optional<ErrorMetrics> evaluate_error(const MultiplierConfig& config,
                                            const EvalOptions& opts, const EvalStop& stop) {
     const ErrorEngine engine = select_error_engine(config, opts);
@@ -159,7 +172,7 @@ std::optional<ErrorMetrics> evaluate_error(const MultiplierConfig& config,
     if (engine == ErrorEngine::kSampled) {
         const MultiplyKernel kernel(config);
         return sampled_distribution_metrics(
-            config.width, opts.samples, point_seed(opts.seed, config), opts.distribution,
+            config.width, opts.samples, point_seed(opts.seed, config), opts.distribution, stop,
             [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); });
     }
     // 64 products per block, bit-identical to the scalar
@@ -224,22 +237,17 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
     if (!point_opts.use_hw_cache) point_opts.hw_cache = nullptr;
 
     // Group the points by error function, in order of first appearance.
-    // Exhaustive points of one (width, variant, depth) share their error
-    // whatever the scheme, so the group evaluates it once. A sampled point
-    // folds its scheme into its seed (point_seed) and is a group of its own.
+    // The points of one (width, variant, depth) share their error whatever
+    // the scheme — a sampled one too, since point_seed leaves the scheme
+    // out — so the group evaluates it once.
     std::vector<std::vector<size_t>> groups;
     {
         std::unordered_map<uint64_t, size_t> group_of;
         for (size_t i = 0; i < configs.size(); ++i) {
-            if (select_error_engine(configs[i], point_opts) != ErrorEngine::kSampled) {
-                const auto [it, fresh] =
-                    group_of.emplace(error_function_key(configs[i]), groups.size());
-                if (!fresh) {
-                    groups[it->second].push_back(i);
-                    continue;
-                }
-            }
-            groups.push_back({i});
+            const auto [it, fresh] =
+                group_of.emplace(error_function_key(configs[i]), groups.size());
+            if (fresh) groups.emplace_back();
+            groups[it->second].push_back(i);
         }
     }
 
@@ -286,8 +294,8 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
     size_t next_emit = 0;
     std::vector<uint8_t> ready(configs.size(), 0);
 
-    // Checked before every task and point and, through the exhaustive
-    // engine, inside one.
+    // Checked before every task and point and, through the exhaustive and
+    // sampled engines, inside one.
     const EvalStop stop{opts.cancel, opts.deadline};
     const auto throw_stopped = [&stop] {
         // The cancel flag and the deadline cannot un-fire.

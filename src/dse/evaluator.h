@@ -7,19 +7,18 @@
 // per-point computation is seeded from the configuration itself, so results
 // are bit-identical regardless of the thread count or scheduling order.
 //
-// Each error function is evaluated once. An exhaustive result depends only
-// on (width, variant, depth) — the accumulation scheme changes the adder
-// tree, not the product — so evaluate_sweep groups a sweep's points by that
-// key and distributes the groups over a ThreadPool: a group evaluates its
-// error once, then builds and synthesizes each member. A group on the
-// sliced engine is split further, into one task per shard group of its
-// exhaustive run: the worker that finishes the last one merges the error and
-// goes on to the members, and a sweep's last functions are shared out among
-// the workers instead of one worker finishing each while the rest idle.
-// A sampled point folds its scheme into its seed and is a group of its
-// own. Exact kernels (the
-// accurate variant, depth-1 compression) skip error evaluation: their
-// metrics are all zero.
+// Each error function is evaluated once. An error result depends only on
+// (width, variant, depth) — the accumulation scheme changes the adder tree,
+// not the product, and a sampled function's seed leaves the scheme out too —
+// so evaluate_sweep groups a sweep's points by that key and distributes the
+// groups over a ThreadPool: a group evaluates its error once, exhaustive or
+// sampled, then builds and synthesizes each member. A group on the sliced
+// engine is split further, into one task per shard group of its exhaustive
+// run: the worker that finishes the last one merges the error and goes on to
+// the members, and a sweep's last functions are shared out among the
+// workers instead of one worker finishing each while the rest idle. Exact
+// kernels (the accurate variant, depth-1 compression) skip error
+// evaluation: their metrics are all zero.
 // Nothing is kept across sweeps, so every sweep (and every `dse_tool
 // --repeat` run) re-evaluates each function and rechecks the engines.
 //
@@ -76,7 +75,9 @@ struct EvalOptions {
     /// resolved integer, never the machine-dependent calibration, travels
     /// on the serve wire so replicas agree.
     int resolved_exhaustive_width = -1;
-    uint64_t seed = 0x5d1c5eed;     ///< base seed; per-point seeds derive from it
+    /// Base seed. Each sampled error function (width, variant, depth)
+    /// derives its own seed from it, shared by all of its schemes.
+    uint64_t seed = 0x5d1c5eed;
     OperandDistribution distribution = OperandDistribution::kUniform;
     bool evaluate_hardware = true;  ///< synthesize netlists for cost metrics
     SynthesisOptions synthesis;     ///< virtual-synthesis knobs
@@ -108,12 +109,13 @@ struct EvalOptions {
     /// Cooperative wall-clock budget: when set (non-epoch), workers stop
     /// claiming points once the deadline passes and evaluate_sweep throws
     /// SweepDeadlineExceeded. Checked at the same granularity as `cancel`:
-    /// before every design point, and inside an exhaustive point once per
-    /// step of 8 stripes (error/evaluate_sliced.h), so one point overshoots
-    /// by at most a step (~2 ms at width 16 on one core). A sampled point
-    /// runs to its end, and evaluate_point ignores both. Points already
-    /// reported through on_point stay reported: the partial stream is
-    /// always a strict prefix of the full enumeration-order stream.
+    /// before every design point, inside an exhaustive point once per step
+    /// of 8 stripes (error/evaluate_sliced.h) and inside a sampled one
+    /// every 4096 pairs, so one point overshoots by at most a step or 4096
+    /// pairs (~2 ms at width 16 on one core either way). evaluate_point
+    /// ignores both. Points already reported through on_point stay
+    /// reported: the partial stream is always a strict prefix of the full
+    /// enumeration-order stream.
     std::chrono::steady_clock::time_point deadline{};
     /// Optional enumeration-index restriction: evaluate only the points at
     /// indices [shard_lo, shard_hi) of SweepSpec::enumerate() order — the
@@ -214,9 +216,9 @@ struct SweepStats {
     /// configs (deterministic; safe for the JSON export summary).
     ErrorEngineTally engines;
     std::string cutoff_desc;
-    /// Error evaluations run: one per exhaustive error function and one per
-    /// sampled point, however many schemes share a function (see the file
-    /// comment). Deterministic for a completed sweep.
+    /// Error evaluations run: one per error function, exhaustive or
+    /// sampled, however many schemes share it (see the file comment).
+    /// Deterministic for a completed sweep.
     size_t error_evaluations = 0;
 };
 

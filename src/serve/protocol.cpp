@@ -143,6 +143,8 @@ EvalOptions read_eval(const JsonValue& v) {
     if (const JsonValue* seed = v.find("seed")) eval.seed = read_uint64(*seed, "seed");
     if (const JsonValue* samples = v.find("samples")) {
         eval.samples = read_uint64(*samples, "samples");
+        // Zero samples would report every sampled point as error-free.
+        if (eval.samples == 0) reject("\"samples\" must be >= 1");
     }
     if (const JsonValue* w = v.find("exhaustive_max_width")) {
         eval.exhaustive_max_width = read_cutoff_width(*w, "exhaustive_max_width");

@@ -27,15 +27,16 @@
 // bit.
 //
 // The last section pins that each error function is evaluated once:
-// evaluate_sweep groups a sweep's points by (width, variant, depth) for
-// the exhaustive engines, one group per sampled point, and the grouping
-// changes nothing observable — every point equals a per-point
-// evaluate_point bit for bit (design_point_bits) at any thread count or
-// shard slice, and the stream stays a strict prefix under cancellation.
-// Exact kernels skip evaluation with the metrics the engines would give.
-// Cancel and deadline also stop a single exhaustive point mid-flight.
+// evaluate_sweep groups a sweep's points by (width, variant, depth),
+// exhaustive and sampled alike, and the grouping changes nothing
+// observable — every point equals a per-point evaluate_point bit for bit
+// (design_point_bits) at any thread count or shard slice, and the stream
+// stays a strict prefix under cancellation. Exact kernels skip evaluation
+// with the metrics the engines would give. Cancel and deadline also stop a
+// single exhaustive or sampled point mid-flight.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -47,6 +48,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -576,19 +578,39 @@ TEST(GroupedSweep, EvaluatesEachErrorFunctionOnce) {
     (void)evaluate_sweep(SweepSpec::for_width(6), opts, &stats);
     EXPECT_EQ(stats.error_evaluations, 2u);
 
-    // A sampled point folds its scheme into its seed: no sharing. Mixed
-    // widths 6 and 9: 11 width-6 functions plus every width-9 point.
-    opts = pinned_sampled();
-    opts.evaluate_hardware = false;
+    // Sampled functions are shared too: the seed leaves the scheme out.
+    // Width 9 has 17 functions (accurate, and sdlc and compensated at
+    // depths 2..9); mixed widths 6 and 9 add the 11 width-6 ones.
+    const EvalOptions sampled = pinned_sampled();
     SweepSpec spec;
-    spec.widths = {9};
-    (void)evaluate_sweep(spec, opts, &stats);
-    const size_t sampled_points = stats.points;
-    EXPECT_EQ(stats.engines.sampled, sampled_points);
-    EXPECT_EQ(stats.error_evaluations, sampled_points);
-    spec.widths = {6, 9};
-    (void)evaluate_sweep(spec, opts, &stats);
-    EXPECT_EQ(stats.error_evaluations, 11u + sampled_points);
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        opts = sampled;
+        opts.threads = threads;
+        opts.evaluate_hardware = false;
+        spec.widths = {9};
+        (void)evaluate_sweep(spec, opts, &stats);
+        EXPECT_EQ(stats.engines.sampled, stats.points);
+        EXPECT_EQ(stats.error_evaluations, 17u);
+        spec.widths = {6, 9};
+        const std::vector<DesignPoint> points = evaluate_sweep(spec, opts, &stats);
+        EXPECT_EQ(stats.error_evaluations, 11u + 17u);
+
+        // Every scheme's point carries its function's one result, bit for
+        // bit, and that is what evaluate_point gives each scheme alone.
+        std::map<std::tuple<int, MultiplierVariant, int>, std::string> function_bits;
+        for (const DesignPoint& point : points) {
+            const MultiplierConfig& c = point.config;
+            MultiplierConfig function = c;
+            function.scheme = AccumulationScheme::kRowRipple;
+            const std::string bits = error_bits(function, point.error);
+            const auto key = std::make_tuple(c.width, c.variant, c.depth);
+            EXPECT_EQ(function_bits.emplace(key, bits).first->second, bits) << point.describe();
+            EXPECT_EQ(error_bits(function, evaluate_point(c, opts).error), bits)
+                << point.describe();
+        }
+        EXPECT_EQ(function_bits.size(), 11u + 17u);
+    }
 }
 
 TEST(GroupedSweep, CancelInsideAGroupLeavesAStrictPrefix) {
@@ -619,29 +641,22 @@ TEST(GroupedSweep, CancelInsideAGroupLeavesAStrictPrefix) {
 
 // ------------------------------------------- stop inside one point ----
 
-TEST(StopInsideAPoint, CancelAndDeadlineInterruptOneExhaustivePoint) {
-    // One width-14 exhaustive point is 2^28 pairs, a single engine call.
-    // Cancel and deadline must stop it mid-flight, not after it: the
-    // shard groups poll them once per step of 8 stripes. The bound is a
-    // quarter of the same point's uncancelled time, so it holds under the
-    // sanitizers too. The point never completes, so nothing streams.
+/// Runs the one point of `spec` whole, taking time T, then under a cancel
+/// and then under a deadline, each firing after min(20 ms, T/4). Both must
+/// stop the point mid-flight, within T/4, at 1 and 4 threads. The bound
+/// holds under the sanitizers too. The point never completes, so nothing
+/// streams.
+void expect_stops_inside_the_point(const SweepSpec& spec, const EvalOptions& base) {
     using Clock = std::chrono::steady_clock;
-    SweepSpec spec = SweepSpec::for_width(14);
-    spec.min_depth = spec.max_depth = 2;
-    spec.variants = {MultiplierVariant::kSdlc};
-    spec.schemes = {AccumulationScheme::kRowRipple};
     ASSERT_EQ(spec.count(), 1u);
     for (const unsigned threads : {1u, 4u}) {
         SCOPED_TRACE("threads " + std::to_string(threads));
-        EvalOptions opts;
+        EvalOptions opts = base;
         opts.threads = threads;
-        opts.resolved_exhaustive_width = 14;
         opts.evaluate_hardware = false;
-        SweepStats stats;
         auto t0 = Clock::now();
-        ASSERT_EQ(evaluate_sweep(spec, opts, &stats).size(), 1u);
+        ASSERT_EQ(evaluate_sweep(spec, opts).size(), 1u);
         const Clock::duration full = Clock::now() - t0;
-        ASSERT_EQ(stats.engines.sliced, 1u);
         const Clock::duration fire_after =
             std::min<Clock::duration>(std::chrono::milliseconds(20), full / 4);
 
@@ -674,6 +689,44 @@ TEST(StopInsideAPoint, CancelAndDeadlineInterruptOneExhaustivePoint) {
             << " s";
         EXPECT_EQ(streamed, 0u);
     }
+}
+
+TEST(StopInsideAPoint, CancelAndDeadlineInterruptOneExhaustivePoint) {
+    // One width-14 exhaustive point is 2^28 pairs, a single engine call.
+    // The shard groups poll cancel and deadline once per step of 8 stripes.
+    SweepSpec spec = SweepSpec::for_width(14);
+    spec.min_depth = spec.max_depth = 2;
+    spec.variants = {MultiplierVariant::kSdlc};
+    spec.schemes = {AccumulationScheme::kRowRipple};
+    EvalOptions opts;
+    opts.resolved_exhaustive_width = 14;
+    ASSERT_EQ(select_error_engine(spec.enumerate().front(), opts),
+              ErrorEngine::kExhaustiveSliced);
+    expect_stops_inside_the_point(spec, opts);
+}
+
+TEST(StopInsideAPoint, CancelAndDeadlineInterruptOneSampledPoint) {
+    // One width-16 compensated depth-16 point above a cutoff pinned at 10
+    // is a single draw, which polls cancel and deadline every 4096 pairs.
+    // A short probe sizes the draw to take about 0.6 s.
+    using Clock = std::chrono::steady_clock;
+    SweepSpec spec = SweepSpec::for_width(16);
+    spec.min_depth = spec.max_depth = 16;
+    spec.variants = {MultiplierVariant::kCompensated};
+    spec.schemes = {AccumulationScheme::kRowRipple};
+    EvalOptions opts;
+    opts.resolved_exhaustive_width = 10;
+    opts.evaluate_hardware = false;
+    const MultiplierConfig config = spec.enumerate().front();
+    ASSERT_EQ(select_error_engine(config, opts), ErrorEngine::kSampled);
+    opts.samples = uint64_t{1} << 16;
+    const auto t0 = Clock::now();
+    (void)evaluate_point(config, opts);
+    const double probe_s = std::chrono::duration<double>(Clock::now() - t0).count();
+    opts.samples = std::max(opts.samples,
+                            static_cast<uint64_t>(static_cast<double>(opts.samples) * 0.6 /
+                                                  std::max(probe_s, 1e-6)));
+    expect_stops_inside_the_point(spec, opts);
 }
 
 /// Sink that lets a test block until a request's done event.

@@ -70,6 +70,12 @@ echo '{"id":"wide2","spec":{"width":4},"eval":{"resolved_exhaustive_width":17}}'
 timeout 30 "$tool" --client wide2.ndjson --socket "$sock" --quiet 2>/dev/null
 check_exit "resolved exhaustive width above 16" 1 $?
 
+# Zero samples would report every sampled point as error-free: rejected at
+# parse time (invalid_request, exit 1).
+echo '{"id":"nosamples","spec":{"width":12},"eval":{"exhaustive_max_width":10,"samples":"0"}}' >nosamples.ndjson
+timeout 30 "$tool" --client nosamples.ndjson --socket "$sock" --quiet 2>/dev/null
+check_exit "zero samples" 1 $?
+
 # Two chunked exports multiplexed over one connection: per-id reassembly
 # must keep the interleaved streams apart and exit 0.
 cat >multi.ndjson <<'EOF'
@@ -180,6 +186,8 @@ timeout 30 "$dse" --width 20 --exhaustive-max-width 20 >/dev/null 2>&1
 check_exit "dse_tool exhaustive cutoff above 16" 2 $?
 "$dse" --exhaustive-max-width -1 >/dev/null 2>&1
 check_exit "dse_tool negative exhaustive cutoff" 2 $?
+timeout 30 "$dse" --width 12 --exhaustive-max-width 10 --samples 0 >/dev/null 2>&1
+check_exit "dse_tool zero samples" 2 $?
 
 # Cluster flag usage contract, dse_tool (exit 2 = usage, before any sweep).
 "$dse" --workers "no-port-here" 2>/dev/null

@@ -156,6 +156,9 @@ TEST(ServeProtocol, StrictRejection) {
          "invalid_request"},  // 2^64: out of range must not clamp
         {"{\"id\": \"r\", \"eval\": {\"seed\": \" 42\"}}", "invalid_request"},
         {"{\"id\": \"r\", \"eval\": {\"seed\": \"+42\"}}", "invalid_request"},
+        // Zero samples would report every sampled point as error-free.
+        {"{\"id\": \"r\", \"eval\": {\"samples\": 0}}", "invalid_request"},
+        {"{\"id\": \"r\", \"eval\": {\"samples\": \"0\"}}", "invalid_request"},
         // Exhaustive cutoffs above 16 would make one point an unstoppable
         // 2^34+-pair sweep; negative ones are meaningless.
         {"{\"id\": \"r\", \"eval\": {\"exhaustive_max_width\": 17}}", "invalid_request"},

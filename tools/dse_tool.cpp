@@ -71,7 +71,7 @@ using namespace sdlc;
         "  evaluation:\n"
         "    --threads N          worker threads (default: hardware)\n"
         "    --seed S             base RNG seed (default 0x5d1c5eed)\n"
-        "    --samples K          Monte-Carlo samples for wide operands\n"
+        "    --samples K          Monte-Carlo samples for wide operands (>= 1)\n"
         "    --dist D             uniform|gaussian|sparse sampling distribution\n"
         "    --exhaustive-max-width W  exhaustive error sweep cutoff, 0..16 (default\n"
         "                         10); setting it pins the fixed cutoff and disables\n"
@@ -213,6 +213,8 @@ EvalOptions options_from(const Args& args) {
     opts.threads = static_cast<unsigned>(threads);
     opts.seed = args.get_uint64("--seed", 0x5d1c5eed);
     opts.samples = args.get_uint64("--samples", uint64_t{1} << 18);
+    // Zero samples would export every sampled point as error-free.
+    if (opts.samples == 0) usage("--samples must be >= 1");
     opts.exhaustive_max_width = args.get_int("--exhaustive-max-width", 10);
     if (opts.exhaustive_max_width < 0 || opts.exhaustive_max_width > kMaxExhaustiveWidth) {
         usage("--exhaustive-max-width must be in [0, " + std::to_string(kMaxExhaustiveWidth) +
