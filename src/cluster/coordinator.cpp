@@ -191,13 +191,6 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
     proto.eval.distribution = eval.distribution;
     proto.eval.evaluate_hardware = eval.evaluate_hardware;
     proto.eval.use_hw_cache = eval.use_hw_cache;
-    // The cutoff ships as the effective width: an auto cutoff arrives
-    // resolved (the tool/service edge resolves before evaluate()), and a
-    // fixed cutoff ships as its own width — 0 ("sample everything")
-    // included. Either way the sub-request is pinned, so a replica never
-    // re-resolves it against its own calibration and runs the same engine
-    // per point as a local run.
-    proto.eval.resolved_exhaustive_width = eval.exhaustive_cutoff();
     proto.stream_points = true;
     proto.export_json = false;
     proto.point_bits = true;

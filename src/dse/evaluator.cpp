@@ -12,7 +12,6 @@
 #include "api/approx_multiplier.h"
 #include "core/kernels.h"
 #include "core/kernels_sliced.h"
-#include "error/calibrate.h"
 #include "error/evaluate_sliced.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -104,26 +103,13 @@ const char* error_engine_name(ErrorEngine e) noexcept {
 
 ErrorEngine select_error_engine(const MultiplierConfig& config,
                                 const EvalOptions& opts) noexcept {
-    if (config.width > opts.exhaustive_cutoff()) return ErrorEngine::kSampled;
+    if (config.width > opts.exhaustive_max_width) return ErrorEngine::kSampled;
     return SlicedMultiplyKernel::eligible(config) ? ErrorEngine::kExhaustiveSliced
                                                   : ErrorEngine::kExhaustiveScalar;
 }
 
 std::string describe_exhaustive_cutoffs(const EvalOptions& opts) {
-    if (opts.resolved_exhaustive_width < 0) {
-        return "fixed(" + std::to_string(opts.exhaustive_max_width) + ")";
-    }
-    return "auto(" + std::to_string(opts.resolved_exhaustive_width) + ")";
-}
-
-void apply_auto_exhaustive(EvalOptions& opts, const SweepSpec& spec, double budget_ms) {
-    // Pinned: the submitter already resolved or fixed the cutoff.
-    if (opts.resolved_exhaustive_width >= 0) return;
-    int max_width = 0;
-    for (const int w : spec.widths) max_width = std::max(max_width, w);
-    if (max_width <= opts.exhaustive_max_width) return;  // promotion can't matter
-    opts.resolved_exhaustive_width =
-        resolve_exhaustive_cutoff(engine_calibration(), opts.exhaustive_max_width, budget_ms);
+    return "fixed(" + std::to_string(opts.exhaustive_max_width) + ")";
 }
 
 ErrorEngineTally tally_error_engines(const std::vector<MultiplierConfig>& configs,

@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "core/kernels_sliced.h"
 #include "dse/cost_cache.h"
 #include "dse/pareto.h"
 #include "dse/sweep.h"
@@ -51,6 +52,12 @@ namespace sdlc {
 
 class ThreadPool;
 struct DesignPoint;
+
+/// Widest exhaustive cutoff: the widest operand the sliced engine
+/// evaluates, so the tool and protocol edges reject any wider cutoff. One
+/// exhaustive point at this width is 2^32 operand pairs; cancel and
+/// deadline stop it within one step of 8 stripes.
+inline constexpr int kMaxExhaustiveWidth = SlicedMultiplyKernel::kMaxWidth;
 
 /// Operand distribution for Monte-Carlo error sampling. Exhaustive
 /// evaluation always covers the full uniform operand space.
@@ -65,16 +72,13 @@ enum class OperandDistribution {
 
 /// Evaluation knobs.
 struct EvalOptions {
-    unsigned threads = 0;           ///< worker threads; 0 = hardware concurrency
-    int exhaustive_max_width = 10;  ///< exhaustive error sweep at or below this width
+    unsigned threads = 0;  ///< worker threads; 0 = hardware concurrency
+    /// The exhaustive cutoff, in [0, kMaxExhaustiveWidth]: exhaustive error
+    /// evaluation at or below this width, sampling above it. A function of
+    /// the request alone, so every process and replica picks the same
+    /// engine for a point.
+    int exhaustive_max_width = 14;
     uint64_t samples = uint64_t{1} << 18;  ///< Monte-Carlo samples above it
-    /// The exhaustive cutoff resolved by the auto time-budget heuristic
-    /// (apply_auto_exhaustive) at the tool/service edge, or -1 while
-    /// unresolved. Once resolved — any width in [0, 16], 0 included — it
-    /// replaces exhaustive_max_width as the cutoff and pins it: the
-    /// resolved integer, never the machine-dependent calibration, travels
-    /// on the serve wire so replicas agree.
-    int resolved_exhaustive_width = -1;
     /// Base seed. Each sampled error function (width, variant, depth)
     /// derives its own seed from it, shared by all of its schemes.
     uint64_t seed = 0x5d1c5eed;
@@ -138,13 +142,6 @@ struct EvalOptions {
     /// point; results are bit-identical either way.
     obs::SpanRecorder* recorder = nullptr;
     obs::TraceContext trace;
-
-    /// The exhaustive cutoff in force: exhaustive evaluation at or below
-    /// this width, sampling above it.
-    [[nodiscard]] int exhaustive_cutoff() const noexcept {
-        return resolved_exhaustive_width >= 0 ? resolved_exhaustive_width
-                                              : exhaustive_max_width;
-    }
 };
 
 /// Thrown by evaluate_sweep when EvalOptions::cancel fires mid-sweep.
@@ -168,7 +165,7 @@ enum class ErrorEngine {
 [[nodiscard]] const char* error_engine_name(ErrorEngine e) noexcept;
 
 /// Pure engine choice for one configuration: sampling above the cutoff
-/// (EvalOptions::exhaustive_cutoff); otherwise the sliced engine when
+/// (EvalOptions::exhaustive_max_width); otherwise the sliced engine when
 /// the config is eligible, else kExhaustiveScalar — an exact kernel
 /// (accurate, depth 1), whose all-zero metrics need no engine.
 /// Deterministic given (config, opts) — the coordinator replays it to
@@ -176,21 +173,9 @@ enum class ErrorEngine {
 [[nodiscard]] ErrorEngine select_error_engine(const MultiplierConfig& config,
                                               const EvalOptions& opts) noexcept;
 
-/// Human-readable cutoff summary for logs and the export summary:
-/// "fixed(10)" while unresolved, "auto(13)" once resolved.
+/// Human-readable cutoff summary for logs and the export summary, e.g.
+/// "fixed(14)".
 [[nodiscard]] std::string describe_exhaustive_cutoffs(const EvalOptions& opts);
-
-/// Auto cutoff resolution (the time-budget heuristic): when the sweep
-/// reaches widths above the fixed exhaustive_max_width cutoff, set
-/// resolved_exhaustive_width from the process's measured engine
-/// calibration (error/calibrate.h) to the largest width whose full
-/// exhaustive sweep fits `budget_ms`. No-op — and no calibration cost —
-/// when every swept width already sits at or below the fixed cutoff, or
-/// when the cutoff is already resolved (a pinned request). Resolution
-/// never demotes below the fixed cutoff. Call once at the tool/service
-/// edge; the resolved integer, not the machine-dependent calibration, then
-/// travels with the options.
-void apply_auto_exhaustive(EvalOptions& opts, const SweepSpec& spec, double budget_ms);
 
 /// Per-engine point counts for a config list — a pure replay of
 /// select_error_engine, so every replica and the coordinator derive the

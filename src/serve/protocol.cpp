@@ -6,7 +6,6 @@
 
 #include "dse/export.h"
 #include "dse/point_wire.h"
-#include "error/calibrate.h"
 #include "util/json.h"
 #include "util/json_parse.h"
 
@@ -137,8 +136,8 @@ EvalOptions read_eval(const JsonValue& v) {
     if (!v.is_object()) reject("\"eval\" must be an object");
     // Thread count is deliberately absent: the service owns one shared
     // ThreadPool and a request cannot resize it.
-    check_known_keys(v, "eval", {"seed", "samples", "exhaustive_max_width", "dist", "hardware",
-                                 "hw_cache", "resolved_exhaustive_width"});
+    check_known_keys(v, "eval",
+                     {"seed", "samples", "exhaustive_max_width", "dist", "hardware", "hw_cache"});
     EvalOptions eval;
     if (const JsonValue* seed = v.find("seed")) eval.seed = read_uint64(*seed, "seed");
     if (const JsonValue* samples = v.find("samples")) {
@@ -161,13 +160,6 @@ EvalOptions read_eval(const JsonValue& v) {
     }
     if (const JsonValue* cache = v.find("hw_cache")) {
         eval.use_hw_cache = read_bool(*cache, "hw_cache");
-    }
-    // The exhaustive cutoff resolved by the submitting edge (tool or
-    // coordinator). An integer only — the machine-dependent calibration
-    // never crosses the wire, so every replica runs the same engine per
-    // point.
-    if (const JsonValue* w = v.find("resolved_exhaustive_width")) {
-        eval.resolved_exhaustive_width = read_cutoff_width(*w, "resolved_exhaustive_width");
     }
     return eval;
 }
@@ -544,12 +536,6 @@ std::string sweep_request_json(const SweepRequest& request) {
     out += request.eval.evaluate_hardware ? "true" : "false";
     out += ", \"hw_cache\": ";
     out += request.eval.use_hw_cache ? "true" : "false";
-    // Written only once resolved: a request with default options must
-    // serialize to its exact historical bytes.
-    if (request.eval.resolved_exhaustive_width >= 0) {
-        out += ", \"resolved_exhaustive_width\": " +
-               std::to_string(request.eval.resolved_exhaustive_width);
-    }
     out += "}";
 
     out += ", \"objectives\": " + objective_set_json(request.objectives);

@@ -4,7 +4,6 @@
 #include <string_view>
 
 #include "dse/evaluator.h"
-#include "error/calibrate.h"
 #include "serve/metrics.h"
 #include "util/json.h"
 
@@ -383,12 +382,6 @@ void SweepService::run_sweep(const Job& job, double queue_wait_s) {
                                        request.spec.describe()));
 
         EvalOptions eval = request.eval;
-        // Resolves the cutoff of requests that did not pin one; the
-        // resolved width is what shard sub-requests carry, so a cluster's
-        // replicas always agree with the coordinator. No-op for pinned
-        // requests and for sweeps at or below the fixed cutoff, so
-        // default-request event streams keep their exact historical bytes.
-        apply_auto_exhaustive(eval, request.spec, kExhaustiveBudgetMs);
         eval.pool = &pool_;
         // The resident cache; evaluate_sweep drops it when use_hw_cache is
         // off.

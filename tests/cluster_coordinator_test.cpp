@@ -238,13 +238,10 @@ TEST(SweepRequestJsonTest, RoundTripsThroughTheStrictParser) {
     req.point_bits = true;
 
     const std::string line = serve::sweep_request_json(req);
-    // An unresolved cutoff adds no key: default requests keep their bytes.
-    EXPECT_EQ(line.find("resolved_exhaustive_width"), std::string::npos) << line;
     SweepRequest back;
     serve::RequestError error;
     ASSERT_TRUE(serve::parse_request(line, serve::kDefaultMaxRequestBytes, back, error))
         << error.message;
-    EXPECT_EQ(back.eval.resolved_exhaustive_width, -1);
     EXPECT_EQ(back.id, "s7");
     EXPECT_EQ(back.spec.widths, req.spec.widths);
     EXPECT_EQ(back.spec.max_depth, 3);
@@ -259,17 +256,6 @@ TEST(SweepRequestJsonTest, RoundTripsThroughTheStrictParser) {
     EXPECT_EQ(back.shard_lo, 3u);
     EXPECT_EQ(back.shard_hi, 9u);
     EXPECT_TRUE(back.point_bits);
-
-    // A resolved cutoff survives the trip, 0 ("sample everything")
-    // included: it is a width, not the unresolved marker.
-    for (const int width : {0, 13, 16}) {
-        req.eval.resolved_exhaustive_width = width;
-        ASSERT_TRUE(serve::parse_request(serve::sweep_request_json(req),
-                                         serve::kDefaultMaxRequestBytes, back, error))
-            << error.message;
-        EXPECT_EQ(back.eval.resolved_exhaustive_width, width);
-        EXPECT_EQ(back.eval.exhaustive_max_width, 6);
-    }
 }
 
 // ---------------------------------------------------- distributed sweeps ----
@@ -357,10 +343,10 @@ TEST(DistributedSweepTest, ShardRestrictedDistributedSweepMatchesSlice) {
 }
 
 TEST(DistributedSweepTest, FixedCutoffIsNotPromotedOnReplicas) {
-    // Replicas auto-resolve unpinned requests (the serve default). A sweep
-    // run under a fixed cutoff must stay sampled above it on them too, so
-    // the merged points match the single-node fixed-cutoff run — cutoff 0
-    // ("sample everything") included.
+    // The cutoff ships to the replicas in exhaustive_max_width. A sweep
+    // run under a narrow cutoff must stay sampled above it on them too, so
+    // the merged points match the single-node run — cutoff 0 ("sample
+    // everything") included.
     Worker w1;
     SweepSpec spec = SweepSpec::for_width(12);
     spec.variants = {MultiplierVariant::kSdlc};

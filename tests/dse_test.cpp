@@ -268,6 +268,7 @@ TEST(Evaluator, SampledPathIsSeededAndDeterministic) {
 TEST(Evaluator, DistributionsChangeSampledMetrics) {
     MultiplierConfig cfg{12, 2, MultiplierVariant::kSdlc, AccumulationScheme::kRowRipple};
     EvalOptions opts;
+    opts.exhaustive_max_width = 10;  // width 12 sampled
     opts.samples = 4000;
     opts.evaluate_hardware = false;
     const DesignPoint uniform = evaluate_point(cfg, opts);

@@ -232,16 +232,6 @@ TEST(Exhaustive, ExactMultiplierHasNoError) {
     EXPECT_EQ(m.mred, 0.0);
 }
 
-TEST(Exhaustive, ThreadCountDoesNotChangeResult) {
-    auto approx = [](uint64_t a, uint64_t b) { return (a * b) & ~uint64_t{1}; };
-    const ErrorMetrics m1 = exhaustive_metrics(7, approx, 1);
-    const ErrorMetrics m4 = exhaustive_metrics(7, approx, 4);
-    EXPECT_DOUBLE_EQ(m1.mred, m4.mred);
-    EXPECT_DOUBLE_EQ(m1.med, m4.med);
-    EXPECT_EQ(m1.samples, m4.samples);
-    EXPECT_DOUBLE_EQ(m1.error_rate, m4.error_rate);
-}
-
 TEST(Exhaustive, CountsAllPairs) {
     const ErrorMetrics m =
         exhaustive_metrics(5, [](uint64_t a, uint64_t b) { return a * b; });

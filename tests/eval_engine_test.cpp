@@ -1,30 +1,19 @@
 // Error-engine policy and threading-contract tests.
 //
-// Two regressions pinned here, both fixed in the same change as the
-// bit-sliced engine:
+// Thread explosion: exhaustive_metrics() used to spawn
+// hardware_concurrency() raw std::threads on EVERY call. A resident service
+// evaluating hundreds of exhaustive points per request multiplied that into
+// hundreds of short-lived threads, all fighting the service's own
+// ThreadPool. Both exhaustive engines now run on the calling thread; a
+// sweep spreads work only over its pool.
 //
-//   1. Thread explosion: exhaustive_metrics() used to spawn
-//      hardware_concurrency() raw std::threads on EVERY call. A resident
-//      service evaluating hundreds of exhaustive points per request
-//      multiplied that into hundreds of short-lived threads, all fighting
-//      the service's own ThreadPool. The contract now: default calls run
-//      inline, a provided ThreadPool is sharded over, and dedicated
-//      threads appear only for an explicit max_threads > 1.
-//
-//   2. The hard-coded exhaustive-vs-sampled cutoff: one width whatever
-//      the engine costs, so points whose full sweep takes milliseconds
-//      were sampled. The cutoff is now resolved from the sliced engine's
-//      measured rate under a time budget; resolution is pure, only ever
-//      promotes, and pinned requests (a resolved width, 0 included)
-//      bypass it entirely.
-//
-// The policy functions (select_error_engine, resolve_exhaustive_cutoff,
-// describe_exhaustive_cutoffs, apply_auto_exhaustive, tally_error_engines)
-// are pure, so they are tested with injected calibrations — no timing
-// dependence. The sliced engine is the only exhaustive engine
-// evaluate_sweep runs, so every default grid at widths 2..8 and 10 is
-// also checked against the scalar exhaustive_metrics reference bit for
-// bit.
+// The cutoff: one width, EvalOptions::exhaustive_max_width (default 14),
+// decides exhaustive against sampled, so the engine of every point is a
+// function of the request. The policy functions (select_error_engine,
+// describe_exhaustive_cutoffs, tally_error_engines) are pure. The sliced
+// engine is the only exhaustive engine evaluate_sweep runs, so every
+// default grid at widths 2..8 and 10 is also checked against the scalar
+// exhaustive_metrics reference bit for bit.
 //
 // The last section pins that each error function is evaluated once:
 // evaluate_sweep groups a sweep's points by (width, variant, depth),
@@ -58,7 +47,6 @@
 #include "dse/evaluator.h"
 #include "dse/point_wire.h"
 #include "dse/sweep.h"
-#include "error/calibrate.h"
 #include "error/evaluate.h"
 #include "error/evaluate_sliced.h"
 #include "serve/service.h"
@@ -92,11 +80,11 @@ MultiplierConfig sdlc_config(int width, int depth) {
 }
 
 TEST(EvalThreading, DefaultCallsSpawnNoThreads) {
-    // The regression: a default (max_threads = 0) exhaustive evaluation
-    // must run inline. Run a batch of them on a single pool worker while
-    // the main thread samples the process thread count — under the old
-    // per-call std::thread spawning the count visibly exceeds the
-    // baseline; under the contract it can never move.
+    // The regression: an exhaustive evaluation must run inline. Run a
+    // batch of them on a single pool worker while the main thread samples
+    // the process thread count — under the old per-call std::thread
+    // spawning the count visibly exceeds the baseline; under the contract
+    // it can never move.
     const MultiplierConfig config = sdlc_config(8, 3);
     const MultiplyKernel scalar(config);
     const SlicedMultiplyKernel sliced(config);
@@ -117,19 +105,6 @@ TEST(EvalThreading, DefaultCallsSpawnNoThreads) {
     pool.wait_idle();
     EXPECT_LE(max_seen, baseline) << "default exhaustive evaluation spawned threads";
     EXPECT_EQ(count_threads(), baseline);
-}
-
-TEST(EvalThreading, PoolShardingIdenticalAndExplicitThreadsStillWork) {
-    const MultiplierConfig config = sdlc_config(7, 2);
-    const MultiplyKernel kernel(config);
-    const auto f = [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); };
-
-    const ErrorMetrics inline_m = exhaustive_metrics(config.width, f);
-    ThreadPool pool(3);
-    EXPECT_EQ(exhaustive_metrics(config.width, f, 0, &pool), inline_m);
-    // Explicit worker counts are the CLI escape hatch; still bit-identical.
-    EXPECT_EQ(exhaustive_metrics(config.width, f, 4), inline_m);
-    EXPECT_EQ(exhaustive_metrics(config.width, f, 1), inline_m);
 }
 
 TEST(EvalThreading, ServiceThreadCountBoundedUnderConcurrentRequests) {
@@ -174,55 +149,6 @@ TEST(EvalThreading, ServiceThreadCountBoundedUnderConcurrentRequests) {
     service.shutdown();
 }
 
-// ------------------------------------------------------ cutoff resolution ----
-
-TEST(CutoffResolution, BudgetWidthFromTheSlicedRate) {
-    // Injected calibration, 1 s budget: cutoff = largest width whose full
-    // 4^w-pair sweep fits the budget at the measured rate.
-    EngineCalibration cal;
-    cal.sliced_ns = 0.25;  // 4^15 fits 4e9 ops, 4^16 does not
-    EXPECT_EQ(resolve_exhaustive_cutoff(cal, 10, 1000.0), 15);
-    cal.sliced_ns = 1.0;  // 4^14 = 2.7e8 ops fits 1e9 ns, 4^15 does not
-    EXPECT_EQ(resolve_exhaustive_cutoff(cal, 10, 1000.0), 14);
-    cal.sliced_ns = 4.0;  // 4^13 fits a 2.5e8-op budget
-    EXPECT_EQ(resolve_exhaustive_cutoff(cal, 10, 1000.0), 13);
-    // The floor is where promotion starts: a floor above the budget width
-    // stays put.
-    EXPECT_EQ(resolve_exhaustive_cutoff(cal, 14, 1000.0), 14);
-
-    // Pure: same inputs, same result.
-    EXPECT_EQ(resolve_exhaustive_cutoff(cal, 10, 1000.0),
-              resolve_exhaustive_cutoff(cal, 10, 1000.0));
-}
-
-TEST(CutoffResolution, NeverDemotesAndClampsTo16) {
-    EngineCalibration cal;
-    cal.sliced_ns = 1e9;  // absurdly slow: stays at the floor
-    EXPECT_EQ(resolve_exhaustive_cutoff(cal, 10, 2000.0), 10);
-    cal.sliced_ns = 1e-9;  // absurdly fast: clamps at width 16
-    EXPECT_EQ(resolve_exhaustive_cutoff(cal, 10, 2000.0), kMaxExhaustiveWidth);
-    EXPECT_EQ(kMaxExhaustiveWidth, 16);
-    cal.sliced_ns = 0.0;  // unmeasured: stays at the floor
-    EXPECT_EQ(resolve_exhaustive_cutoff(cal, 10, 2000.0), 10);
-    cal.sliced_ns = -1.0;  // nonsense: stays at the floor
-    EXPECT_EQ(resolve_exhaustive_cutoff(cal, 10, 2000.0), 10);
-
-    // A zero budget cannot demote below the floor either, 0 included.
-    cal.sliced_ns = 1.0;
-    EXPECT_EQ(resolve_exhaustive_cutoff(cal, 12, 0.0), 12);
-    EXPECT_EQ(resolve_exhaustive_cutoff(cal, 0, 0.0), 0);
-}
-
-TEST(CutoffResolution, MeasuredCalibrationIsSane) {
-    // The real measurement: a positive rate of a few ns per pair (64
-    // products per block); 1 us per pair would mean a broken measurement.
-    const EngineCalibration& cal = engine_calibration();
-    EXPECT_GT(cal.sliced_ns, 0.0);
-    EXPECT_LT(cal.sliced_ns, 1000.0);
-    // Lazy singleton: same object, no re-measurement.
-    EXPECT_EQ(&engine_calibration(), &cal);
-}
-
 // -------------------------------------------------------- engine selection ----
 
 MultiplierConfig make_config(int width, int depth, MultiplierVariant variant) {
@@ -234,50 +160,38 @@ MultiplierConfig make_config(int width, int depth, MultiplierVariant variant) {
 }
 
 TEST(EngineSelection, DefaultsFollowFixedCutoff) {
-    const EvalOptions opts;  // exhaustive_max_width = 10, unresolved
-    EXPECT_EQ(opts.exhaustive_cutoff(), 10);
+    const EvalOptions opts;
+    EXPECT_EQ(opts.exhaustive_max_width, 14);
     EXPECT_EQ(select_error_engine(make_config(8, 3, MultiplierVariant::kSdlc), opts),
               ErrorEngine::kExhaustiveSliced);
-    EXPECT_EQ(select_error_engine(make_config(10, 2, MultiplierVariant::kCompensated), opts),
+    EXPECT_EQ(select_error_engine(make_config(14, 2, MultiplierVariant::kSdlc), opts),
+              ErrorEngine::kExhaustiveSliced);
+    EXPECT_EQ(select_error_engine(make_config(14, 5, MultiplierVariant::kCompensated), opts),
               ErrorEngine::kExhaustiveSliced);
     // Not sliced-eligible: an exact config, answered without an engine.
     EXPECT_EQ(select_error_engine(make_config(8, 2, MultiplierVariant::kAccurate), opts),
               ErrorEngine::kExhaustiveScalar);
     EXPECT_EQ(select_error_engine(make_config(8, 1, MultiplierVariant::kSdlc), opts),
               ErrorEngine::kExhaustiveScalar);
-    // Above the cutoff: sampled, exact or not.
-    EXPECT_EQ(select_error_engine(make_config(12, 3, MultiplierVariant::kSdlc), opts),
-              ErrorEngine::kSampled);
-    EXPECT_EQ(select_error_engine(make_config(12, 2, MultiplierVariant::kAccurate), opts),
-              ErrorEngine::kSampled);
-}
-
-TEST(EngineSelection, ResolvedCutoffReplacesTheFixedOne) {
-    EvalOptions opts;
-    opts.resolved_exhaustive_width = 14;
-    EXPECT_EQ(opts.exhaustive_cutoff(), 14);
-    EXPECT_EQ(select_error_engine(make_config(14, 2, MultiplierVariant::kSdlc), opts),
-              ErrorEngine::kExhaustiveSliced);
-    EXPECT_EQ(select_error_engine(make_config(14, 5, MultiplierVariant::kCompensated), opts),
-              ErrorEngine::kExhaustiveSliced);
     EXPECT_EQ(select_error_engine(make_config(14, 2, MultiplierVariant::kAccurate), opts),
               ErrorEngine::kExhaustiveScalar);
+    // Above the cutoff: sampled, exact or not.
     EXPECT_EQ(select_error_engine(make_config(15, 3, MultiplierVariant::kSdlc), opts),
               ErrorEngine::kSampled);
     EXPECT_EQ(select_error_engine(make_config(15, 2, MultiplierVariant::kAccurate), opts),
               ErrorEngine::kSampled);
+}
 
-    // A resolved 0 is a width, not "unresolved": it pins sampling for
-    // every point, below the fixed cutoff too.
-    opts.resolved_exhaustive_width = 0;
-    EXPECT_EQ(opts.exhaustive_cutoff(), 0);
+TEST(EngineSelection, ZeroAndNarrowCutoffs) {
+    // 0 is a width like any other: it samples every point.
+    EvalOptions opts;
+    opts.exhaustive_max_width = 0;
     EXPECT_EQ(select_error_engine(make_config(2, 2, MultiplierVariant::kSdlc), opts),
               ErrorEngine::kSampled);
     EXPECT_EQ(select_error_engine(make_config(6, 1, MultiplierVariant::kAccurate), opts),
               ErrorEngine::kSampled);
 
-    // Unresolving falls back to the fixed cutoff.
-    opts.resolved_exhaustive_width = -1;
+    // The cutoff width itself is exhaustive, the next one sampled.
     opts.exhaustive_max_width = 6;
     EXPECT_EQ(select_error_engine(make_config(6, 3, MultiplierVariant::kSdlc), opts),
               ErrorEngine::kExhaustiveSliced);
@@ -299,49 +213,11 @@ TEST(EngineSelection, UnbuildableConfigStillThrows) {
 
 TEST(EngineSelection, DescribeCutoffs) {
     EvalOptions opts;
-    EXPECT_EQ(describe_exhaustive_cutoffs(opts), "fixed(10)");
+    EXPECT_EQ(describe_exhaustive_cutoffs(opts), "fixed(14)");
     opts.exhaustive_max_width = 8;
     EXPECT_EQ(describe_exhaustive_cutoffs(opts), "fixed(8)");
     opts.exhaustive_max_width = 0;
     EXPECT_EQ(describe_exhaustive_cutoffs(opts), "fixed(0)");
-    opts.resolved_exhaustive_width = 13;
-    EXPECT_EQ(describe_exhaustive_cutoffs(opts), "auto(13)");
-    opts.resolved_exhaustive_width = 0;
-    EXPECT_EQ(describe_exhaustive_cutoffs(opts), "auto(0)");
-}
-
-TEST(EngineSelection, ApplyAutoExhaustiveGating) {
-    // Pinned requests (a resolved width, 0 included) are left untouched:
-    // the submitter already resolved or fixed the cutoff.
-    SweepSpec wide;
-    wide.widths = {12};
-    for (const int width : {11, 0}) {
-        EvalOptions pinned;
-        pinned.resolved_exhaustive_width = width;
-        apply_auto_exhaustive(pinned, wide, 2000.0);
-        EXPECT_EQ(pinned.resolved_exhaustive_width, width);
-        EXPECT_EQ(describe_exhaustive_cutoffs(pinned), "auto(" + std::to_string(width) + ")");
-    }
-
-    // Sweeps entirely at or below the fixed cutoff: no-op (and no
-    // calibration cost) — promotion could not change any engine choice.
-    SweepSpec small;
-    small.widths = {4, 8};
-    EvalOptions untouched;
-    apply_auto_exhaustive(untouched, small, 2000.0);
-    EXPECT_EQ(untouched.resolved_exhaustive_width, -1);
-    EXPECT_EQ(describe_exhaustive_cutoffs(untouched), "fixed(10)");
-
-    // A sweep above the cutoff resolves from the process calibration;
-    // never below the floor (auto only promotes), never above 16.
-    EvalOptions resolved;
-    apply_auto_exhaustive(resolved, wide, 1000.0);
-    EXPECT_EQ(resolved.resolved_exhaustive_width,
-              resolve_exhaustive_cutoff(engine_calibration(), 10, 1000.0));
-    EXPECT_GE(resolved.resolved_exhaustive_width, resolved.exhaustive_max_width);
-    EXPECT_LE(resolved.resolved_exhaustive_width, kMaxExhaustiveWidth);
-    EXPECT_EQ(describe_exhaustive_cutoffs(resolved),
-              "auto(" + std::to_string(resolved.resolved_exhaustive_width) + ")");
 }
 
 TEST(EngineSelection, TallyMatchesSelection) {
@@ -479,7 +355,7 @@ TEST(ExhaustiveEngine, SweepEqualsTheScalarReferenceBitForBit) {
         EXPECT_GT(stats.engines.sliced, 0u);
         EXPECT_EQ(stats.engines.sliced + stats.engines.scalar, points.size());
         EXPECT_EQ(stats.engines.sampled, 0u);
-        EXPECT_EQ(stats.cutoff_desc, "fixed(10)");
+        EXPECT_EQ(stats.cutoff_desc, "fixed(14)");
     }
 }
 
@@ -699,7 +575,7 @@ TEST(StopInsideAPoint, CancelAndDeadlineInterruptOneExhaustivePoint) {
     spec.variants = {MultiplierVariant::kSdlc};
     spec.schemes = {AccumulationScheme::kRowRipple};
     EvalOptions opts;
-    opts.resolved_exhaustive_width = 14;
+    opts.exhaustive_max_width = 14;
     ASSERT_EQ(select_error_engine(spec.enumerate().front(), opts),
               ErrorEngine::kExhaustiveSliced);
     expect_stops_inside_the_point(spec, opts);
@@ -715,7 +591,7 @@ TEST(StopInsideAPoint, CancelAndDeadlineInterruptOneSampledPoint) {
     spec.variants = {MultiplierVariant::kCompensated};
     spec.schemes = {AccumulationScheme::kRowRipple};
     EvalOptions opts;
-    opts.resolved_exhaustive_width = 10;
+    opts.exhaustive_max_width = 10;
     opts.evaluate_hardware = false;
     const MultiplierConfig config = spec.enumerate().front();
     ASSERT_EQ(select_error_engine(config, opts), ErrorEngine::kSampled);

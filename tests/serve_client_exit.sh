@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # serve_tool --client exit-status contract, end to end over a real server,
-# plus the serve_tool / dse_tool usage contract:
+# plus the serve_tool / dse_tool / sdlc usage contract:
 #   0  every request succeeded
 #   1  the server answered an error event / a request failed
 #   2  usage error
 #   3  transport failure (cannot connect, stream dropped early)
-# Usage: serve_client_exit.sh /path/to/serve_tool /path/to/dse_tool
+# and a check that `sdlc eval` prints what dse_tool exports for one point.
+# Usage: serve_client_exit.sh /path/to/serve_tool /path/to/dse_tool /path/to/sdlc
 set -u
 
-tool="${1:?usage: serve_client_exit.sh serve_tool dse_tool}"
-dse="${2:?usage: serve_client_exit.sh serve_tool dse_tool}"
+tool="${1:?usage: serve_client_exit.sh serve_tool dse_tool sdlc}"
+dse="${2:?usage: serve_client_exit.sh serve_tool dse_tool sdlc}"
+sdlc="${3:?usage: serve_client_exit.sh serve_tool dse_tool sdlc}"
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
 cd "$workdir"
@@ -66,9 +68,6 @@ check_exit "deadline exceeded" 1 $?
 echo '{"id":"wide","spec":{"widths":[24]},"eval":{"exhaustive_max_width":24},"deadline_ms":500}' >wide.ndjson
 timeout 30 "$tool" --client wide.ndjson --socket "$sock" --quiet 2>/dev/null
 check_exit "exhaustive cutoff above 16" 1 $?
-echo '{"id":"wide2","spec":{"width":4},"eval":{"resolved_exhaustive_width":17}}' >wide2.ndjson
-timeout 30 "$tool" --client wide2.ndjson --socket "$sock" --quiet 2>/dev/null
-check_exit "resolved exhaustive width above 16" 1 $?
 
 # Zero samples would report every sampled point as error-free: rejected at
 # parse time (invalid_request, exit 1).
@@ -188,6 +187,50 @@ check_exit "dse_tool exhaustive cutoff above 16" 2 $?
 check_exit "dse_tool negative exhaustive cutoff" 2 $?
 timeout 30 "$dse" --width 12 --exhaustive-max-width 10 --samples 0 >/dev/null 2>&1
 check_exit "dse_tool zero samples" 2 $?
+
+# sdlc eval: bad sample counts and an exhaustive width above 16 are usage
+# errors before any evaluation; `timeout` turns a runaway loop into a
+# failure.
+timeout 30 "$sdlc" eval --width 16 --samples 0 >/dev/null 2>&1
+check_exit "sdlc eval zero samples" 2 $?
+timeout 30 "$sdlc" eval --width 16 --samples -5 >/dev/null 2>&1
+check_exit "sdlc eval negative samples" 2 $?
+timeout 30 "$sdlc" eval --width 16 --samples 5000000000 >/dev/null 2>&1
+check_exit "sdlc eval samples out of range" 2 $?
+timeout 30 "$sdlc" eval --exhaustive --width 20 >/dev/null 2>&1
+check_exit "sdlc eval exhaustive width above 16" 2 $?
+
+# sdlc eval runs the sweep engine: it prints the NMED, MRED and ER that
+# dse_tool exports for the same point, exhaustive at width 12 and sampled
+# (default seed, 2^18 pairs) at width 16.
+eval_matches_export() { # name width sdlc-eval-args...
+    local name="$1" width="$2"
+    shift 2
+    "$dse" --width "$width" --variants sdlc --depth-min 2 --depth-max 2 --schemes ripple \
+        --json "point_w$width.json" >/dev/null &&
+        "$sdlc" eval --width "$width" --depth 2 "$@" >"eval_w$width.txt" &&
+        python3 - "eval_w$width.txt" "point_w$width.json" <<'PY'
+import json, sys
+printed = {}
+for line in open(sys.argv[1]):
+    for key in ("MRED (%)", "NMED", "ER (%)"):
+        if line.startswith(key + " "):
+            printed[key] = line[len(key):].strip()
+error = json.load(open(sys.argv[2]))["points"][0]["error"]
+exported = {"MRED (%)": "%.5f" % (error["mred"] * 100), "NMED": "%.8f" % error["nmed"],
+            "ER (%)": "%.2f" % (error["error_rate"] * 100)}
+if printed != exported:
+    sys.exit(f"printed {printed}, exported {exported}")
+PY
+    if [ $? -eq 0 ]; then
+        echo "ok: $name"
+    else
+        echo "FAIL: $name" >&2
+        failures=$((failures + 1))
+    fi
+}
+eval_matches_export "sdlc eval matches the width-12 export" 12
+eval_matches_export "sdlc eval matches the width-16 export" 16 --samples 262144
 
 # Cluster flag usage contract, dse_tool (exit 2 = usage, before any sweep).
 "$dse" --workers "no-port-here" 2>/dev/null

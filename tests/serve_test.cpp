@@ -164,10 +164,9 @@ TEST(ServeProtocol, StrictRejection) {
         {"{\"id\": \"r\", \"eval\": {\"exhaustive_max_width\": 17}}", "invalid_request"},
         {"{\"id\": \"r\", \"eval\": {\"exhaustive_max_width\": 24}}", "invalid_request"},
         {"{\"id\": \"r\", \"eval\": {\"exhaustive_max_width\": -1}}", "invalid_request"},
-        {"{\"id\": \"r\", \"eval\": {\"resolved_exhaustive_width\": 17}}", "invalid_request"},
-        {"{\"id\": \"r\", \"eval\": {\"resolved_exhaustive_width\": 24}}", "invalid_request"},
-        // -1 is "unresolved" inside EvalOptions, never a wire value.
-        {"{\"id\": \"r\", \"eval\": {\"resolved_exhaustive_width\": -1}}", "invalid_request"},
+        // The cutoff is exhaustive_max_width alone: "resolved_exhaustive_width"
+        // is not an eval key, so a coordinator that still sends it is told.
+        {"{\"id\": \"r\", \"eval\": {\"resolved_exhaustive_width\": 14}}", "invalid_request"},
         // "sliced" and "exhaustive_widths" are not eval keys.
         {"{\"id\": \"r\", \"eval\": {\"sliced\": false}}", "invalid_request"},
         {"{\"id\": \"r\", \"eval\": {\"exhaustive_widths\": {\"sliced\": 12}}}",
@@ -198,25 +197,19 @@ TEST(ServeProtocol, ExhaustiveCutoffBoundsAreInclusive) {
     // valid; the range check must not be off by one at either end.
     SweepRequest req;
     RequestError err;
-    ASSERT_TRUE(parse_request(
-        "{\"id\": \"r\", \"eval\": {\"exhaustive_max_width\": 0,"
-        " \"resolved_exhaustive_width\": 16}}",
-        kDefaultMaxRequestBytes, req, err))
+    ASSERT_TRUE(parse_request("{\"id\": \"r\", \"eval\": {\"exhaustive_max_width\": 0}}",
+                              kDefaultMaxRequestBytes, req, err))
         << err.message;
     EXPECT_EQ(req.eval.exhaustive_max_width, 0);
-    EXPECT_EQ(req.eval.resolved_exhaustive_width, 16);
-    ASSERT_TRUE(parse_request(
-        "{\"id\": \"r\", \"eval\": {\"exhaustive_max_width\": 16,"
-        " \"resolved_exhaustive_width\": 0}}",
-        kDefaultMaxRequestBytes, req, err))
+    ASSERT_TRUE(parse_request("{\"id\": \"r\", \"eval\": {\"exhaustive_max_width\": 16}}",
+                              kDefaultMaxRequestBytes, req, err))
         << err.message;
     EXPECT_EQ(req.eval.exhaustive_max_width, 16);
-    EXPECT_EQ(req.eval.resolved_exhaustive_width, 0);
-    // Absent, the cutoff stays unresolved.
+    // Absent, the cutoff is the default one.
     ASSERT_TRUE(parse_request("{\"id\": \"r\", \"eval\": {}}", kDefaultMaxRequestBytes, req,
                               err))
         << err.message;
-    EXPECT_EQ(req.eval.resolved_exhaustive_width, -1);
+    EXPECT_EQ(req.eval.exhaustive_max_width, EvalOptions{}.exhaustive_max_width);
 }
 
 TEST(ServeProtocol, SchemaErrorsKeepTheRequestId) {

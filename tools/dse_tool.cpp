@@ -48,7 +48,6 @@
 #include "dse/export.h"
 #include "dse/pareto.h"
 #include "dse/sweep.h"
-#include "error/calibrate.h"
 #include "obs/trace.h"
 #include "serve/socket.h"
 #include "util/table.h"
@@ -73,9 +72,8 @@ using namespace sdlc;
         "    --seed S             base RNG seed (default 0x5d1c5eed)\n"
         "    --samples K          Monte-Carlo samples for wide operands (>= 1)\n"
         "    --dist D             uniform|gaussian|sparse sampling distribution\n"
-        "    --exhaustive-max-width W  exhaustive error sweep cutoff, 0..16 (default\n"
-        "                         10); setting it pins the fixed cutoff and disables\n"
-        "                         the auto time-budget promotion\n"
+        "    --exhaustive-max-width W  exhaustive error evaluation at or below width\n"
+        "                         W, sampling above it; 0..16 (default 14)\n"
         "    --no-hw-cache        disable the content-keyed synthesis cache\n"
         "    --repeat K           evaluate the sweep K times (warm-cache runs);\n"
         "                         exits 1 unless all runs are bit-identical\n"
@@ -211,11 +209,11 @@ EvalOptions options_from(const Args& args) {
     const int threads = args.get_int("--threads", 0);
     if (threads < 0) usage("--threads must be >= 0");
     opts.threads = static_cast<unsigned>(threads);
-    opts.seed = args.get_uint64("--seed", 0x5d1c5eed);
-    opts.samples = args.get_uint64("--samples", uint64_t{1} << 18);
+    opts.seed = args.get_uint64("--seed", opts.seed);
+    opts.samples = args.get_uint64("--samples", opts.samples);
     // Zero samples would export every sampled point as error-free.
     if (opts.samples == 0) usage("--samples must be >= 1");
-    opts.exhaustive_max_width = args.get_int("--exhaustive-max-width", 10);
+    opts.exhaustive_max_width = args.get_int("--exhaustive-max-width", opts.exhaustive_max_width);
     if (opts.exhaustive_max_width < 0 || opts.exhaustive_max_width > kMaxExhaustiveWidth) {
         usage("--exhaustive-max-width must be in [0, " + std::to_string(kMaxExhaustiveWidth) +
               "]");
@@ -305,14 +303,6 @@ int main(int argc, char** argv) {
         const Args args(argc, argv);
         const SweepSpec spec = spec_from(args);
         EvalOptions opts = options_from(args);
-        // Tool-edge cutoff resolution: calibrate once and resolve the
-        // exhaustive cutoff, unless --exhaustive-max-width pinned the fixed
-        // one. The resolved width then travels with the options — into
-        // cluster shard sub-requests too — so every replica runs the same
-        // engine per point.
-        if (!args.has("--exhaustive-max-width")) {
-            apply_auto_exhaustive(opts, spec, kExhaustiveBudgetMs);
-        }
         const Objective by = objective_from(args);  // validate before the sweep runs
         const ObjectiveSet objectives = objective_set_from(args);
         const int repeat = args.get_int("--repeat", 1);

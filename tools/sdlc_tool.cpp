@@ -8,18 +8,19 @@
 //
 // Variants: accurate | sdlc | compensated.  Schemes: ripple | wallace |
 // dadda | fastcpa.  All commands are deterministic.
+#include <charconv>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <thread>
+#include <limits>
 #include <map>
 #include <string>
 
 #include "analysis/expected_error.h"
 #include "api/approx_multiplier.h"
 #include "core/functional.h"
-#include "error/evaluate.h"
+#include "dse/evaluator.h"
 #include "image/convolve.h"
 #include "image/gaussian.h"
 #include "image/synthetic.h"
@@ -67,9 +68,22 @@ public:
         const auto it = values_.find(key);
         return it == values_.end() ? dflt : it->second;
     }
-    [[nodiscard]] int get_int(const std::string& key, int dflt) const {
+    /// An integer option in [lo, hi]; a malformed or out-of-range value is
+    /// a usage error.
+    [[nodiscard]] int get_int(const std::string& key, int dflt,
+                              int lo = std::numeric_limits<int>::min(),
+                              int hi = std::numeric_limits<int>::max()) const {
         const std::string v = get(key);
-        return v.empty() ? dflt : std::stoi(v);
+        if (v.empty()) return dflt;
+        long long n = 0;
+        const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+        if (ec != std::errc() || end != v.data() + v.size()) {
+            usage(key + " expects an integer, got " + v);
+        }
+        if (n < lo || n > hi) {
+            usage(key + " must be in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
+        }
+        return static_cast<int>(n);
     }
     [[nodiscard]] bool flag(const std::string& key) const {
         return flags_.count(key) != 0;
@@ -136,21 +150,24 @@ int cmd_gen(const Args& args) {
 
 int cmd_eval(const Args& args) {
     const MultiplierConfig cfg = config_from(args);
-    const ApproxMultiplier mul(cfg);
-    auto f = [&mul](uint64_t a, uint64_t b) { return mul.multiply(a, b); };
-
-    ErrorMetrics m;
-    std::string mode;
-    if (args.flag("exhaustive") || cfg.width <= 12) {
-        // Explicit thread count: a standalone CLI run wants the machine's
-        // cores (the inline default targets embedded/pool-worker callers).
-        m = exhaustive_metrics(cfg.width, f, std::thread::hardware_concurrency());
-        mode = "exhaustive";
-    } else {
-        const uint64_t samples = static_cast<uint64_t>(args.get_int("--samples", 1 << 22));
-        m = sampled_metrics(cfg.width, samples, 0x5eed, f);
-        mode = "sampled " + std::to_string(samples);
+    // The sweep engine on one point: the sliced exhaustive engine at or
+    // below the cutoff, the sweep's seeded sampling above it. It takes the
+    // widths a sweep takes.
+    if (cfg.width < 2 || cfg.width > 32) usage("eval needs --width in [2, 32]");
+    const ApproxMultiplier mul(cfg);  // rejects a depth outside [1, width]
+    EvalOptions opts;
+    opts.evaluate_hardware = false;
+    opts.samples = static_cast<uint64_t>(args.get_int("--samples", 1 << 22, 1));
+    if (args.flag("exhaustive")) {
+        if (cfg.width > kMaxExhaustiveWidth) {
+            usage("--exhaustive needs --width <= " + std::to_string(kMaxExhaustiveWidth));
+        }
+        opts.exhaustive_max_width = kMaxExhaustiveWidth;
     }
+    const ErrorMetrics m = evaluate_point(cfg, opts).error;
+    const std::string mode = select_error_engine(cfg, opts) == ErrorEngine::kSampled
+                                 ? "sampled " + std::to_string(opts.samples)
+                                 : "exhaustive";
     std::cout << mul.describe() << "  [" << mode << "]\n";
     TextTable t({"metric", "value"});
     t.add_row({"MRED (%)", fmt_percent(m.mred, 5)});
