@@ -3,33 +3,34 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "util/cli.h"
 #include "util/table.h"
 
 namespace sdlc::bench {
 
 BenchArgs BenchArgs::parse(int argc, char** argv) {
-    BenchArgs args;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--exhaustive") {
-            args.exhaustive = true;
-        } else if (a == "--quick") {
-            args.quick = true;
-        } else if (a == "--csv" && i + 1 < argc) {
-            args.csv_path = argv[++i];
-        } else if (a == "--json" && i + 1 < argc) {
-            args.json_path = argv[++i];
-        } else if (a == "--check" && i + 1 < argc) {
-            args.check_path = argv[++i];
-        } else if (a == "--seed" && i + 1 < argc) {
-            args.seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (a == "--help" || a == "-h") {
-            std::cout << "options: [--exhaustive] [--quick] [--csv <path>] [--json <path>] "
-                         "[--check <path>] [--seed <n>]\n";
+    static const char* const kUsage =
+        "options: [--exhaustive] [--quick] [--csv <path>] [--json <path>] "
+        "[--check <path>] [--seed <n>]\n";
+    try {
+        const CommandLine cli(argc, argv, {"--csv", "--json", "--check", "--seed"},
+                              {"--exhaustive", "--quick"});
+        if (cli.help()) {
+            std::cout << kUsage;
             std::exit(0);
         }
+        BenchArgs args;
+        args.exhaustive = cli.has("--exhaustive");
+        args.quick = cli.has("--quick");
+        if (cli.has("--csv")) args.csv_path = cli.get("--csv");
+        if (cli.has("--json")) args.json_path = cli.get("--json");
+        if (cli.has("--check")) args.check_path = cli.get("--check");
+        args.seed = cli.get_uint64("--seed", args.seed);
+        return args;
+    } catch (const UsageError& e) {
+        std::cerr << "error: " << e.what() << "\n\n" << kUsage;
+        std::exit(2);
     }
-    return args;
 }
 
 void print_header(const std::string& experiment, const std::string& paper_claim) {

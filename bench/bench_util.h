@@ -14,8 +14,9 @@
 
 namespace sdlc::bench {
 
-/// Minimal CLI: recognizes --exhaustive, --quick, --csv <path>,
-/// --json <path>, --seed <n>, --check <path>.
+/// The benches' shared command line: --exhaustive, --quick, --csv <path>,
+/// --json <path>, --seed <n>, --check <path>. Anything else, or a
+/// malformed --seed, prints the usage and exits 2.
 struct BenchArgs {
     bool exhaustive = false;
     bool quick = false;

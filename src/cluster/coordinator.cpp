@@ -441,6 +441,26 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
     return merger.take();
 }
 
+ClusterOptions cluster_options_from(const CommandLine& cli) {
+    ClusterOptions cluster;
+    if (!cli.has("--workers")) {
+        for (const char* knob : {"--shards", "--shard-timeout-ms", "--shard-retries"}) {
+            if (cli.has(knob)) throw UsageError(std::string(knob) + " requires --workers LIST");
+        }
+        return cluster;
+    }
+    std::string error;
+    if (!serve::parse_endpoint_list(cli.get("--workers"), cluster.workers, &error)) {
+        throw UsageError("--workers: " + error);
+    }
+    if (cluster.workers.empty()) throw UsageError("--workers: empty worker list");
+    cluster.shards =
+        static_cast<size_t>(cli.get_int("--shards", static_cast<int>(cluster.shards), 1));
+    cluster.shard_timeout_ms = cli.get_int("--shard-timeout-ms", cluster.shard_timeout_ms, 0);
+    cluster.shard_retries = cli.get_int("--shard-retries", cluster.shard_retries, 0);
+    return cluster;
+}
+
 CoordinatorService::CoordinatorService(const serve::ServiceOptions& opts, ClusterOptions cluster)
     : SweepService(opts), cluster_(std::move(cluster)) {
     if (cluster_.workers.empty()) {

@@ -28,6 +28,7 @@
 #include "dse/sweep.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
+#include "util/cli.h"
 
 namespace sdlc::cluster {
 
@@ -51,6 +52,13 @@ struct ClusterOptions {
     /// Per-worker connect budget.
     int connect_timeout_ms = 2000;
 };
+
+/// The fan-out options on a tool's command line: --workers LIST, --shards,
+/// --shard-timeout-ms and --shard-retries, each defaulting to the field
+/// above. Without --workers the worker list is empty (local evaluation).
+/// Throws UsageError on a malformed or empty worker list, a count out of
+/// range, or a shard option without --workers, which would do nothing.
+[[nodiscard]] ClusterOptions cluster_options_from(const CommandLine& cli);
 
 /// Runs `spec` distributed over `opts.workers`, honoring `eval`'s cancel /
 /// deadline / on_point / shard range exactly like evaluate_sweep — global

@@ -19,31 +19,13 @@ uint64_t sdlc_fast2_kernel(uint64_t a, uint64_t b) {
     return sdlc_multiply_fast2(W, a, b);
 }
 
-/// Truncated baseline: the dropped value is, per active row r < cut, the
-/// low (cut - r) bits of A shifted to the row's weight. One masked add per
-/// low row instead of the row x column double loop.
-template <int Cut>
-uint64_t truncated_kernel(uint64_t a, uint64_t b) {
-    uint64_t dropped = 0;
-    for (int r = 0; r < Cut; ++r) {
-        if ((b >> r) & 1u) dropped += (a & mask_low(static_cast<unsigned>(Cut - r))) << r;
-    }
-    return a * b - dropped;
-}
-
 template <size_t... W>
 constexpr std::array<MultiplyKernelFn, sizeof...(W)> fast2_table(std::index_sequence<W...>) {
     return {{&sdlc_fast2_kernel<static_cast<int>(W)>...}};
 }
 
-template <size_t... C>
-constexpr std::array<MultiplyKernelFn, sizeof...(C)> truncated_table(std::index_sequence<C...>) {
-    return {{&truncated_kernel<static_cast<int>(C)>...}};
-}
-
 // Indexed by operand width; entries below width 2 are never dispatched.
 constexpr auto kFast2Kernels = fast2_table(std::make_index_sequence<33>{});
-constexpr auto kTruncatedKernels = truncated_table(std::make_index_sequence<64>{});
 
 }  // namespace
 
@@ -69,11 +51,6 @@ const char* multiply_kernel_name(const MultiplierConfig& config) noexcept {
     if (fn == &accurate_kernel) return "accurate";
     if (fn != nullptr) return "sdlc-fast2";
     return "planned";
-}
-
-MultiplyKernelFn find_truncated_kernel(int cut) noexcept {
-    if (cut < 0 || cut >= static_cast<int>(kTruncatedKernels.size())) return nullptr;
-    return kTruncatedKernels[static_cast<size_t>(cut)];
 }
 
 MultiplyKernel::MultiplyKernel(const MultiplierConfig& config) : config_(config) {
@@ -120,15 +97,6 @@ uint64_t MultiplyKernel::planned_error(uint64_t a, uint64_t b) const noexcept {
         err += (sum - present) << g.base_row;
     }
     return err;
-}
-
-uint64_t truncated_multiply_fast(int width, int cut, uint64_t a, uint64_t b) {
-    if (cut <= 0) return a * b;
-    const MultiplyKernelFn fn = find_truncated_kernel(cut);
-    if (fn == nullptr || width > 32) {
-        throw std::invalid_argument("truncated_multiply_fast: cut/width out of range");
-    }
-    return fn(a, b);
 }
 
 }  // namespace sdlc

@@ -7,10 +7,10 @@
 //
 //  1. A registry of *stateless* specialized kernels with the uniform
 //     signature `uint64_t(uint64_t a, uint64_t b)` — the accurate product,
-//     the depth-1 (no-compression) identity, the word-parallel depth-2
-//     bit-trick path (sdlc_multiply_fast2), and strength-reduced truncated
-//     baselines. find_multiply_kernel() maps a MultiplierConfig to one of
-//     these, or returns nullptr when no stateless kernel applies.
+//     the depth-1 (no-compression) identity and the word-parallel depth-2
+//     bit-trick path (sdlc_multiply_fast2). find_multiply_kernel() maps a
+//     MultiplierConfig to one of these, or returns nullptr when no
+//     stateless kernel applies.
 //
 //  2. MultiplyKernel, a per-configuration evaluation object that always
 //     has a fast path: it uses the stateless kernel when one exists and
@@ -58,13 +58,6 @@ using MultiplyKernelFn = uint64_t (*)(uint64_t a, uint64_t b);
 /// ("accurate", "sdlc-fast2", "planned", ...). Diagnostic only.
 [[nodiscard]] const char* multiply_kernel_name(const MultiplierConfig& config) noexcept;
 
-/// Stateless kernel for the truncated baseline with the given cut
-/// (drops all partial products of weight < 2^cut). The kernel is
-/// width-independent because width-masked operands cannot populate rows or
-/// columns beyond the operand width. Returns nullptr for cut outside
-/// [0, 63].
-[[nodiscard]] MultiplyKernelFn find_truncated_kernel(int cut) noexcept;
-
 /// Per-configuration fast evaluator. Construction is O(plan size); each
 /// call is O(width) worst case. Results are bit-identical to
 /// ApproxMultiplier::multiply for the same configuration (enforced by
@@ -83,13 +76,6 @@ public:
             if (((b >> t.row_a) & (b >> t.row_b)) & 1u) p += t.value;
         }
         return p;
-    }
-
-    /// |exact - approximate| for these operands.
-    [[nodiscard]] uint64_t error_distance(uint64_t a, uint64_t b) const noexcept {
-        const uint64_t exact = a * b;
-        const uint64_t approx = operator()(a, b);
-        return exact > approx ? exact - approx : approx - exact;
     }
 
     /// True when a stateless registry kernel backs this configuration.
@@ -117,10 +103,6 @@ private:
     std::vector<uint64_t> col_masks_;  ///< per (group, row k): window mask for A
     std::vector<CompensationTerm> comp_;
 };
-
-/// Strength-reduced software model of the truncated baseline; equivalent to
-/// truncated_multiply() but O(cut) instead of O(width^2).
-[[nodiscard]] uint64_t truncated_multiply_fast(int width, int cut, uint64_t a, uint64_t b);
 
 }  // namespace sdlc
 

@@ -134,6 +134,14 @@ const char* operand_distribution_name(OperandDistribution d) noexcept {
     return "?";
 }
 
+bool parse_operand_distribution(std::string_view name, OperandDistribution& out) noexcept {
+    if (name == "uniform") out = OperandDistribution::kUniform;
+    else if (name == "gaussian") out = OperandDistribution::kGaussian;
+    else if (name == "sparse") out = OperandDistribution::kSparse;
+    else return false;
+    return true;
+}
+
 std::string DesignPoint::describe() const {
     return ApproxMultiplier(config).describe();
 }

@@ -37,6 +37,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/kernels_sliced.h"
@@ -69,6 +70,11 @@ enum class OperandDistribution {
 
 /// Short lowercase name ("uniform", "gaussian", "sparse").
 [[nodiscard]] const char* operand_distribution_name(OperandDistribution d) noexcept;
+
+/// Parses a distribution name into `out`. Returns false (leaving `out`
+/// untouched) for unknown names.
+[[nodiscard]] bool parse_operand_distribution(std::string_view name,
+                                              OperandDistribution& out) noexcept;
 
 /// Evaluation knobs.
 struct EvalOptions {

@@ -150,10 +150,9 @@ EvalOptions read_eval(const JsonValue& v) {
     }
     if (const JsonValue* dist = v.find("dist")) {
         const std::string name = read_string(*dist, "dist");
-        if (name == "uniform") eval.distribution = OperandDistribution::kUniform;
-        else if (name == "gaussian") eval.distribution = OperandDistribution::kGaussian;
-        else if (name == "sparse") eval.distribution = OperandDistribution::kSparse;
-        else reject("unknown distribution \"" + name + "\"");
+        if (!parse_operand_distribution(name, eval.distribution)) {
+            reject("unknown distribution \"" + name + "\"");
+        }
     }
     if (const JsonValue* hw = v.find("hardware")) {
         eval.evaluate_hardware = read_bool(*hw, "hardware");

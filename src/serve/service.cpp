@@ -84,10 +84,6 @@ void SweepService::reject_oversized_line(ResponseSink& sink) {
                     false, false);
 }
 
-bool SweepService::submit(const SweepRequest& request, std::shared_ptr<ResponseSink> sink) {
-    return submit_job(request, std::move(sink), 0.0);
-}
-
 bool SweepService::submit_job(const SweepRequest& request, std::shared_ptr<ResponseSink> sink,
                               double parse_s) {
     // Cancels act on service state, not on the sweep pipeline: handle them
@@ -325,7 +321,7 @@ void SweepService::process(Job& job) {
             break;
         }
         case RequestType::kCancel:
-            // Unreachable: cancels are handled inline in submit().
+            // Unreachable: cancels are handled inline in submit_job().
             break;
     }
 }

@@ -94,10 +94,6 @@ public:
     /// the connection drops).
     void reject_oversized_line(ResponseSink& sink);
 
-    /// Enqueues an already-parsed request (in-process embedders: tests,
-    /// benches). Same semantics as submit_line.
-    bool submit(const SweepRequest& request, std::shared_ptr<ResponseSink> sink);
-
     /// Stops intake (idempotent); queued requests still complete. Safe to
     /// call from any thread, including request workers.
     void request_shutdown();

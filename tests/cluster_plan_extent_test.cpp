@@ -109,7 +109,9 @@ TEST(ClusterPlanExtents, CompressionSitesConsistent) {
             }
             EXPECT_EQ(plan.compression_sites(), sum_extents);
             EXPECT_EQ(plan.compression_sites(), multi_bit_sites);
-            if (depth == 1) EXPECT_EQ(plan.compression_sites(), 0);
+            if (depth == 1) {
+                EXPECT_EQ(plan.compression_sites(), 0);
+            }
         }
     }
 }

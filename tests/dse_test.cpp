@@ -113,7 +113,7 @@ TEST(Pareto, DominanceOverSelectedAxesOnly) {
 // ----------------------------------------------------------------- sweep ----
 
 TEST(SweepSpec, CountMatchesEnumerate) {
-    for (const SweepSpec spec :
+    for (const SweepSpec& spec :
          {SweepSpec{}, SweepSpec::for_width(4), SweepSpec::for_width(16), SweepSpec::full()}) {
         EXPECT_EQ(spec.count(), spec.enumerate().size()) << spec.describe();
     }
@@ -206,6 +206,16 @@ TEST(SweepSpec, NameParsersRoundTripAndRejectUnknown) {
     EXPECT_TRUE(parse_accumulation_scheme("fastcpa", s));
     EXPECT_EQ(s, AccumulationScheme::kRowFastCpa);
     EXPECT_FALSE(parse_accumulation_scheme("bogus", s));
+
+    for (OperandDistribution d : {OperandDistribution::kUniform, OperandDistribution::kGaussian,
+                                  OperandDistribution::kSparse}) {
+        OperandDistribution parsed = OperandDistribution::kSparse;
+        ASSERT_TRUE(parse_operand_distribution(operand_distribution_name(d), parsed));
+        EXPECT_EQ(parsed, d);
+    }
+    OperandDistribution d = OperandDistribution::kSparse;
+    EXPECT_FALSE(parse_operand_distribution("gausian", d));
+    EXPECT_EQ(d, OperandDistribution::kSparse) << "failed parse must not modify out";
 }
 
 // ------------------------------------------------------------- evaluator ----

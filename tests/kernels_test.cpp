@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "api/approx_multiplier.h"
-#include "baselines/truncated.h"
 #include "core/functional.h"
 #include "core/kernels.h"
 #include "util/rng.h"
@@ -109,17 +108,6 @@ TEST(MultiplyKernelClass, SpecializedFlagMatchesRegistry) {
     EXPECT_FALSE(MultiplyKernel({8, 2, MultiplierVariant::kCompensated}).specialized());
 }
 
-TEST(MultiplyKernelClass, ErrorDistanceMatchesFacade) {
-    const MultiplierConfig cfg{8, 3, MultiplierVariant::kSdlc};
-    const ApproxMultiplier mul(cfg);
-    const MultiplyKernel kernel(cfg);
-    Xoshiro256 rng(3);
-    for (int i = 0; i < 2000; ++i) {
-        const uint64_t a = rng.next() & 0xff, b = rng.next() & 0xff;
-        EXPECT_EQ(kernel.error_distance(a, b), mul.error_distance(a, b));
-    }
-}
-
 // ----------------------------------------------------------- equivalence ----
 
 TEST(KernelEquivalence, ExhaustiveDispatchableConfigsUpToWidth10) {
@@ -155,29 +143,6 @@ TEST(KernelEquivalence, SampledWideConfigs) {
             expect_sampled_equivalence({width, depth, MultiplierVariant::kCompensated}, 20000);
         }
     }
-}
-
-// -------------------------------------------------------------- truncated ----
-
-TEST(TruncatedKernel, ExhaustiveEquivalenceWidth8AllCuts) {
-    const int width = 8;
-    for (int cut = 0; cut < 2 * width; ++cut) {
-        const MultiplyKernelFn fn = find_truncated_kernel(cut);
-        ASSERT_NE(fn, nullptr) << cut;
-        for (uint64_t a = 0; a < 256; ++a) {
-            for (uint64_t b = 0; b < 256; ++b) {
-                ASSERT_EQ(fn(a, b), truncated_multiply(width, cut, a, b))
-                    << "cut=" << cut << " a=" << a << " b=" << b;
-                ASSERT_EQ(truncated_multiply_fast(width, cut, a, b),
-                          truncated_multiply(width, cut, a, b));
-            }
-        }
-    }
-}
-
-TEST(TruncatedKernel, OutOfRangeCutReturnsNull) {
-    EXPECT_EQ(find_truncated_kernel(-1), nullptr);
-    EXPECT_EQ(find_truncated_kernel(64), nullptr);
 }
 
 }  // namespace

@@ -39,7 +39,9 @@ void fuzz_one(const std::string& line, size_t max_bytes = kDefaultMaxRequestByte
         // and count without throwing (the service calls both before
         // evaluating anything).
         EXPECT_FALSE(req.id.empty());
-        if (req.type == RequestType::kCancel) EXPECT_FALSE(req.target.empty());
+        if (req.type == RequestType::kCancel) {
+            EXPECT_FALSE(req.target.empty());
+        }
     }
 }
 

@@ -1,17 +1,20 @@
 #!/usr/bin/env bash
 # serve_tool --client exit-status contract, end to end over a real server,
-# plus the serve_tool / dse_tool / sdlc usage contract:
+# plus the serve_tool / dse_tool / sdlc / bench usage contract:
 #   0  every request succeeded
 #   1  the server answered an error event / a request failed
 #   2  usage error
 #   3  transport failure (cannot connect, stream dropped early)
 # and a check that `sdlc eval` prints what dse_tool exports for one point.
 # Usage: serve_client_exit.sh /path/to/serve_tool /path/to/dse_tool /path/to/sdlc
+#        /path/to/bench_binary
 set -u
 
-tool="${1:?usage: serve_client_exit.sh serve_tool dse_tool sdlc}"
-dse="${2:?usage: serve_client_exit.sh serve_tool dse_tool sdlc}"
-sdlc="${3:?usage: serve_client_exit.sh serve_tool dse_tool sdlc}"
+args_usage="usage: serve_client_exit.sh serve_tool dse_tool sdlc bench"
+tool="${1:?$args_usage}"
+dse="${2:?$args_usage}"
+sdlc="${3:?$args_usage}"
+bench="${4:?$args_usage}"
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
 cd "$workdir"
@@ -147,6 +150,23 @@ check_exit "non-numeric option value" 2 $?
 "$tool" --client good.ndjson 2>/dev/null
 check_exit "client without destination" 2 $?
 
+# stdio mode answers an unterminated over-long line with too_large and
+# logs it like the socket transports do.
+head -c 5000 /dev/zero | tr '\0' x |
+    "$tool" --max-request-bytes 100 --access-log stdio_access.log >stdio_big.txt
+check_exit "stdio oversized line" 0 $?
+grep -q '"code": "too_large"' stdio_big.txt || {
+    echo "FAIL: stdio oversized line got no too_large event" >&2
+    failures=$((failures + 1))
+}
+too_large_lines=$(grep -c '"outcome": "too_large"' stdio_access.log)
+if [ "${too_large_lines:-0}" -ne 1 ]; then
+    echo "FAIL: stdio access log has $too_large_lines too_large lines, want 1" >&2
+    failures=$((failures + 1))
+else
+    echo "ok: stdio oversized line logged"
+fi
+
 # Cluster flag usage contract, serve_tool: malformed worker specs, shard
 # knobs without a worker list, and cluster flags in client/scrape mode are
 # usage errors (2) before anything binds or runs.
@@ -199,6 +219,50 @@ timeout 30 "$sdlc" eval --width 16 --samples 5000000000 >/dev/null 2>&1
 check_exit "sdlc eval samples out of range" 2 $?
 timeout 30 "$sdlc" eval --exhaustive --width 20 >/dev/null 2>&1
 check_exit "sdlc eval exhaustive width above 16" 2 $?
+
+# The command-line contract of every binary: a misspelt option, a missing
+# value, or a value that does not parse whole and in range exits 2 with an
+# error line and the usage text, before any sweep or table runs.
+check_usage() { # name command...
+    local name="$1"
+    shift
+    timeout 30 "$@" >/dev/null 2>usage_err.txt
+    local rc=$?
+    check_exit "$name" 2 $rc
+    if [ "$rc" -eq 2 ] && ! { grep -q '^error: ' usage_err.txt &&
+        grep -q -e '^usage' -e '^options:' usage_err.txt; }; then
+        echo "FAIL: $name: no error line and usage text on stderr" >&2
+        failures=$((failures + 1))
+    fi
+}
+check_usage "dse_tool width with trailing garbage" "$dse" --width 8x
+check_usage "dse_tool non-numeric width" "$dse" --width abc
+check_usage "dse_tool malformed width range" "$dse" --widths 4-x
+check_usage "dse_tool fractional depth" "$dse" --depth-min 2.5
+check_usage "dse_tool malformed hex seed" "$dse" --seed 0xzz
+check_usage "dse_tool non-numeric filter bound" "$dse" --max-nmed abc
+check_usage "dse_tool thread count out of range" "$dse" --threads 99999999999
+check_usage "dse_tool sample count above 2^64" "$dse" --samples 99999999999999999999
+check_usage "dse_tool negative top" "$dse" --top -1
+check_usage "dse_tool unknown distribution" "$dse" --dist gausian
+check_usage "sdlc eval misspelt option" "$sdlc" eval --sample 5
+check_usage "bench misspelt option" "$bench" --quik
+check_usage "bench option without value" "$bench" --csv
+timeout 30 "$sdlc" eval --help >/dev/null 2>&1
+check_exit "sdlc eval --help" 0 $?
+
+# Seeds keep strtoull's bases: hex and decimal spellings of one seed export
+# the same bytes, and the largest 64-bit seed is accepted.
+seed_sweep="--width 12 --exhaustive-max-width 10 --samples 4096 --variants sdlc
+    --depth-min 2 --depth-max 2 --schemes ripple"
+# shellcheck disable=SC2086
+"$dse" $seed_sweep --seed 0x5d1c5eed --json seed_hex.json >/dev/null &&
+    "$dse" $seed_sweep --seed 1562140397 --json seed_dec.json >/dev/null &&
+    cmp -s seed_hex.json seed_dec.json
+check_exit "hex and decimal seeds export the same bytes" 0 $?
+# shellcheck disable=SC2086
+"$dse" $seed_sweep --seed 18446744073709551615 >/dev/null
+check_exit "largest 64-bit seed" 0 $?
 
 # sdlc eval runs the sweep engine: it prints the NMED, MRED and ER that
 # dse_tool exports for the same point, exhaustive at width 12 and sampled

@@ -77,19 +77,6 @@ std::string event_kind(const JsonValue& e) {
     return kind != nullptr && kind->is_string() ? kind->string : "";
 }
 
-/// The subsequence of `lines` belonging to request `id`.
-std::vector<std::string> stream_of(const std::vector<std::string>& lines,
-                                   const std::string& id) {
-    std::vector<std::string> out;
-    for (const std::string& line : lines) {
-        const JsonValue e = parse_event(line);
-        if (const JsonValue* eid = e.find("id"); eid != nullptr && eid->string == id) {
-            out.push_back(line);
-        }
-    }
-    return out;
-}
-
 // ------------------------------------------------------ request parsing ----
 
 TEST(ServeProtocol, MinimalRequestGetsDseToolDefaults) {
@@ -156,6 +143,7 @@ TEST(ServeProtocol, StrictRejection) {
          "invalid_request"},  // 2^64: out of range must not clamp
         {"{\"id\": \"r\", \"eval\": {\"seed\": \" 42\"}}", "invalid_request"},
         {"{\"id\": \"r\", \"eval\": {\"seed\": \"+42\"}}", "invalid_request"},
+        {"{\"id\": \"r\", \"eval\": {\"dist\": \"gausian\"}}", "invalid_request"},
         // Zero samples would report every sampled point as error-free.
         {"{\"id\": \"r\", \"eval\": {\"samples\": 0}}", "invalid_request"},
         {"{\"id\": \"r\", \"eval\": {\"samples\": \"0\"}}", "invalid_request"},

@@ -33,11 +33,8 @@
 // --no-hw-cache.
 #include <algorithm>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <numeric>
-#include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -49,7 +46,7 @@
 #include "dse/pareto.h"
 #include "dse/sweep.h"
 #include "obs/trace.h"
-#include "serve/socket.h"
+#include "util/cli.h"
 #include "util/table.h"
 
 namespace {
@@ -103,99 +100,35 @@ using namespace sdlc;
     std::exit(msg.empty() ? 0 : 2);
 }
 
-/// --key value pairs plus boolean flags; unknown options are rejected so a
-/// typo'd flag cannot silently run the wrong sweep.
-class Args {
-public:
-    Args(int argc, char** argv) {
-        static const std::set<std::string> kValueKeys = {
-            "--width",   "--widths",   "--depth-min", "--depth-max", "--variants",
-            "--schemes", "--threads",  "--seed",      "--samples",   "--dist",
-            "--exhaustive-max-width",  "--top",      "--by",        "--max-nmed",
-            "--max-mred", "--max-area", "--max-power", "--max-delay", "--csv",
-            "--json",     "--repeat",   "--objectives", "--workers",
-            "--shards",   "--shard-timeout-ms",           "--shard-retries",
-            "--trace-out"};
-        for (int i = 1; i < argc; ++i) {
-            std::string key = argv[i];
-            if (key == "--help" || key == "-h") usage();
-            if (key == "--frontier") {
-                flags_["frontier"] = true;
-                continue;
-            }
-            if (key == "--no-hw-cache") {
-                flags_["no-hw-cache"] = true;
-                continue;
-            }
-            if (kValueKeys.count(key) == 0) usage("unknown option " + key);
-            if (i + 1 >= argc) usage("missing value for " + key);
-            values_[key] = argv[++i];
-        }
-    }
-    [[nodiscard]] std::string get(const std::string& key, const std::string& dflt = "") const {
-        const auto it = values_.find(key);
-        return it == values_.end() ? dflt : it->second;
-    }
-    [[nodiscard]] bool has(const std::string& key) const { return values_.count(key) != 0; }
-    [[nodiscard]] int get_int(const std::string& key, int dflt) const {
-        const std::string v = get(key);
-        return v.empty() ? dflt : std::stoi(v);
-    }
-    [[nodiscard]] uint64_t get_uint64(const std::string& key, uint64_t dflt) const {
-        const std::string v = get(key);
-        if (v.empty()) return dflt;
-        if (v.find('-') != std::string::npos) usage(key + " must be non-negative");
-        return std::stoull(v, nullptr, 0);
-    }
-    [[nodiscard]] double get_double(const std::string& key, double dflt) const {
-        const std::string v = get(key);
-        return v.empty() ? dflt : std::stod(v);
-    }
-    [[nodiscard]] bool flag(const std::string& key) const { return flags_.count(key) != 0; }
-
-private:
-    std::map<std::string, std::string> values_;
-    std::map<std::string, bool> flags_;
-};
-
-std::vector<std::string> split_commas(const std::string& list) {
-    std::vector<std::string> out;
-    std::istringstream in(list);
-    std::string item;
-    while (std::getline(in, item, ',')) {
-        if (!item.empty()) out.push_back(item);
-    }
-    return out;
-}
-
-SweepSpec spec_from(const Args& args) {
+SweepSpec spec_from(const CommandLine& cli) {
     SweepSpec spec;
-    if (args.has("--widths")) {
-        const std::string range = args.get("--widths");
+    // SweepSpec's width range, checked before a range is expanded.
+    if (cli.has("--widths")) {
+        const std::string range = cli.get("--widths");
         const size_t dash = range.find('-');
         if (dash == std::string::npos) usage("--widths expects A-B, got " + range);
-        const int lo = std::stoi(range.substr(0, dash));
-        const int hi = std::stoi(range.substr(dash + 1));
+        const int lo = parse_int("--widths", std::string_view(range).substr(0, dash), 2, 32);
+        const int hi = parse_int("--widths", std::string_view(range).substr(dash + 1), 2, 32);
         if (lo > hi) usage("--widths range is empty");
         spec.widths.clear();
         for (int w = lo; w <= hi; ++w) spec.widths.push_back(w);
     } else {
-        spec.widths = {args.get_int("--width", 8)};
+        spec.widths = {cli.get_int("--width", 8, 2, 32)};
     }
-    spec.min_depth = args.get_int("--depth-min", 1);
-    spec.max_depth = args.get_int("--depth-max", 0);
+    spec.min_depth = cli.get_int("--depth-min", 1);
+    spec.max_depth = cli.get_int("--depth-max", 0);
 
-    if (args.has("--variants")) {
+    if (cli.has("--variants")) {
         spec.variants.clear();
-        for (const std::string& v : split_commas(args.get("--variants"))) {
+        for (const std::string& v : cli.get_list("--variants")) {
             MultiplierVariant variant;
             if (!parse_multiplier_variant(v, variant)) usage("unknown variant " + v);
             spec.variants.push_back(variant);
         }
     }
-    if (args.has("--schemes")) {
+    if (cli.has("--schemes")) {
         spec.schemes.clear();
-        for (const std::string& s : split_commas(args.get("--schemes"))) {
+        for (const std::string& s : cli.get_list("--schemes")) {
             AccumulationScheme scheme;
             if (!parse_accumulation_scheme(s, scheme)) usage("unknown scheme " + s);
             spec.schemes.push_back(scheme);
@@ -204,27 +137,42 @@ SweepSpec spec_from(const Args& args) {
     return spec;
 }
 
-EvalOptions options_from(const Args& args) {
+EvalOptions options_from(const CommandLine& cli) {
     EvalOptions opts;
-    const int threads = args.get_int("--threads", 0);
-    if (threads < 0) usage("--threads must be >= 0");
-    opts.threads = static_cast<unsigned>(threads);
-    opts.seed = args.get_uint64("--seed", opts.seed);
-    opts.samples = args.get_uint64("--samples", opts.samples);
+    opts.threads = static_cast<unsigned>(cli.get_int("--threads", 0, 0));
+    opts.seed = cli.get_uint64("--seed", opts.seed);
+    opts.samples = cli.get_uint64("--samples", opts.samples);
     // Zero samples would export every sampled point as error-free.
     if (opts.samples == 0) usage("--samples must be >= 1");
-    opts.exhaustive_max_width = args.get_int("--exhaustive-max-width", opts.exhaustive_max_width);
-    if (opts.exhaustive_max_width < 0 || opts.exhaustive_max_width > kMaxExhaustiveWidth) {
-        usage("--exhaustive-max-width must be in [0, " + std::to_string(kMaxExhaustiveWidth) +
-              "]");
-    }
-    const std::string dist = args.get("--dist", "uniform");
-    if (dist == "uniform") opts.distribution = OperandDistribution::kUniform;
-    else if (dist == "gaussian") opts.distribution = OperandDistribution::kGaussian;
-    else if (dist == "sparse") opts.distribution = OperandDistribution::kSparse;
-    else usage("unknown distribution " + dist);
-    opts.use_hw_cache = !args.flag("no-hw-cache");
+    opts.exhaustive_max_width = cli.get_int("--exhaustive-max-width", opts.exhaustive_max_width,
+                                            0, kMaxExhaustiveWidth);
+    const std::string dist = cli.get("--dist", "uniform");
+    if (!parse_operand_distribution(dist, opts.distribution)) usage("unknown distribution " + dist);
+    opts.use_hw_cache = !cli.has("--no-hw-cache");
     return opts;
+}
+
+/// A --max-* constraint: the points whose `value` exceeds `bound` are
+/// dropped before the Pareto analysis.
+struct Filter {
+    const char* option;
+    double (*value)(const DesignPoint&);
+    double bound = 0.0;
+};
+
+std::vector<Filter> filters_from(const CommandLine& cli) {
+    std::vector<Filter> filters;
+    for (Filter f : {Filter{"--max-nmed", [](const DesignPoint& p) { return p.error.nmed; }},
+                     Filter{"--max-mred", [](const DesignPoint& p) { return p.error.mred; }},
+                     Filter{"--max-area", [](const DesignPoint& p) { return p.hw.area_um2; }},
+                     Filter{"--max-power",
+                            [](const DesignPoint& p) { return p.hw.dynamic_power_uw; }},
+                     Filter{"--max-delay", [](const DesignPoint& p) { return p.hw.delay_ps; }}}) {
+        if (!cli.has(f.option)) continue;
+        f.bound = cli.get_double(f.option, 0.0);
+        filters.push_back(f);
+    }
+    return filters;
 }
 
 /// Bit-exact equality of two evaluated sweeps (the determinism contract of
@@ -237,44 +185,18 @@ bool sweeps_identical(const std::vector<DesignPoint>& a, const std::vector<Desig
     return true;
 }
 
-/// Validated cluster fan-out options from --workers and friends; empty
-/// workers means local evaluation. Shard knobs without --workers are a
-/// usage error — they would silently do nothing.
-cluster::ClusterOptions cluster_options_from(const Args& args) {
-    cluster::ClusterOptions cluster;
-    if (!args.has("--workers")) {
-        for (const char* flag : {"--shards", "--shard-timeout-ms", "--shard-retries"}) {
-            if (args.has(flag)) usage(std::string(flag) + " requires --workers LIST");
-        }
-        return cluster;
-    }
-    std::string error;
-    if (!serve::parse_endpoint_list(args.get("--workers"), cluster.workers, &error)) {
-        usage("--workers: " + error);
-    }
-    if (cluster.workers.empty()) usage("--workers: empty worker list");
-    const int shards = args.get_int("--shards", 32);
-    if (shards < 1) usage("--shards must be >= 1");
-    cluster.shards = static_cast<size_t>(shards);
-    cluster.shard_timeout_ms = args.get_int("--shard-timeout-ms", 60000);
-    if (cluster.shard_timeout_ms < 0) usage("--shard-timeout-ms must be >= 0");
-    cluster.shard_retries = args.get_int("--shard-retries", 2);
-    if (cluster.shard_retries < 0) usage("--shard-retries must be >= 0");
-    return cluster;
-}
-
-Objective objective_from(const Args& args) {
-    const std::string by = args.get("--by", "error");
+Objective objective_from(const CommandLine& cli) {
+    const std::string by = cli.get("--by", "error");
     Objective o;
     if (!parse_objective(by, o)) usage("unknown objective " + by);
     return o;
 }
 
-ObjectiveSet objective_set_from(const Args& args) {
-    if (!args.has("--objectives")) return default_objectives();
+ObjectiveSet objective_set_from(const CommandLine& cli) {
+    if (!cli.has("--objectives")) return default_objectives();
     ObjectiveSet set;
     std::string error;
-    if (!parse_objective_set(split_commas(args.get("--objectives")), set, &error)) {
+    if (!parse_objective_set(cli.get_list("--objectives"), set, &error)) {
         usage(error);
     }
     return set;
@@ -300,26 +222,37 @@ void add_point_row(TextTable& table, const DesignPoint& p, int rank) {
 
 int main(int argc, char** argv) {
     try {
-        const Args args(argc, argv);
-        const SweepSpec spec = spec_from(args);
-        EvalOptions opts = options_from(args);
-        const Objective by = objective_from(args);  // validate before the sweep runs
-        const ObjectiveSet objectives = objective_set_from(args);
-        const int repeat = args.get_int("--repeat", 1);
-        if (repeat < 1) usage("--repeat must be >= 1");
+        const CommandLine cli(
+            argc, argv,
+            {"--width", "--widths", "--depth-min", "--depth-max", "--variants", "--schemes",
+             "--threads", "--seed", "--samples", "--dist", "--exhaustive-max-width", "--top",
+             "--by", "--max-nmed", "--max-mred", "--max-area", "--max-power", "--max-delay",
+             "--csv", "--json", "--repeat", "--objectives", "--workers", "--shards",
+             "--shard-timeout-ms", "--shard-retries", "--trace-out"},
+            {"--frontier", "--no-hw-cache"});
+        if (cli.help()) usage();
+        // Every option is read before the sweep runs, so a bad value is a
+        // usage error in milliseconds, not a failure after the evaluation.
+        const SweepSpec spec = spec_from(cli);
+        EvalOptions opts = options_from(cli);
+        const Objective by = objective_from(cli);
+        const ObjectiveSet objectives = objective_set_from(cli);
+        const int repeat = cli.get_int("--repeat", 1, 1);
+        const size_t top_k = static_cast<size_t>(cli.get_int("--top", 0, 0));
+        const std::vector<Filter> filters = filters_from(cli);
 
         // One cache shared across --repeat runs: run 1 is cold, the rest warm.
         CostCache cache;
         if (opts.use_hw_cache) opts.hw_cache = &cache;
 
-        const cluster::ClusterOptions cluster = cluster_options_from(args);
+        const cluster::ClusterOptions cluster = cluster::cluster_options_from(cli);
         const bool clustered = !cluster.workers.empty();
 
         // --trace-out: record spans on a client-tier recorder seeded from the
         // sweep seed (deterministic ids). The root context carries span_id 0
         // so top-level spans are roots of the assembled tree. Tracing rides
         // EvalOptions only — sweep results and exports are unaffected.
-        const std::string trace_out = args.get("--trace-out");
+        const std::string trace_out = cli.get("--trace-out");
         std::unique_ptr<obs::SpanRecorder> trace_recorder;
         obs::TraceContext trace_root;
         if (!trace_out.empty()) {
@@ -359,28 +292,8 @@ int main(int argc, char** argv) {
 
         // Constraint filters run before the Pareto analysis so the frontier
         // is the frontier of the *feasible* region.
-        auto drop_if = [&points](auto pred) {
-            points.erase(std::remove_if(points.begin(), points.end(), pred), points.end());
-        };
-        if (args.has("--max-nmed")) {
-            const double v = args.get_double("--max-nmed", 0);
-            drop_if([v](const DesignPoint& p) { return p.error.nmed > v; });
-        }
-        if (args.has("--max-mred")) {
-            const double v = args.get_double("--max-mred", 0);
-            drop_if([v](const DesignPoint& p) { return p.error.mred > v; });
-        }
-        if (args.has("--max-area")) {
-            const double v = args.get_double("--max-area", 0);
-            drop_if([v](const DesignPoint& p) { return p.hw.area_um2 > v; });
-        }
-        if (args.has("--max-power")) {
-            const double v = args.get_double("--max-power", 0);
-            drop_if([v](const DesignPoint& p) { return p.hw.dynamic_power_uw > v; });
-        }
-        if (args.has("--max-delay")) {
-            const double v = args.get_double("--max-delay", 0);
-            drop_if([v](const DesignPoint& p) { return p.hw.delay_ps > v; });
+        for (const Filter& f : filters) {
+            std::erase_if(points, [&f](const DesignPoint& p) { return f.value(p) > f.bound; });
         }
 
         const ParetoResult pareto = pareto_analysis(objective_matrix(points, objectives));
@@ -396,8 +309,7 @@ int main(int argc, char** argv) {
             return points[a].hw.area_um2 < points[b].hw.area_um2;
         });
 
-        const bool frontier_only = args.flag("frontier");
-        const size_t top_k = static_cast<size_t>(args.get_int("--top", 0));
+        const bool frontier_only = cli.has("--frontier");
 
         std::cout << "DSE sweep: " << spec.describe() << "\n"
                   << "evaluated " << evaluated << " points";
@@ -464,11 +376,11 @@ int main(int argc, char** argv) {
                       << objective_set_name(objectives) << ")\n";
         }
 
-        if (const std::string csv = args.get("--csv"); !csv.empty()) {
+        if (const std::string csv = cli.get("--csv"); !csv.empty()) {
             write_dse_csv(csv, points, pareto.rank);
             std::cout << "csv -> " << csv << "\n";
         }
-        if (const std::string json = args.get("--json"); !json.empty()) {
+        if (const std::string json = cli.get("--json"); !json.empty()) {
             write_dse_json(json, points, pareto.rank, stats, objectives);
             std::cout << "json -> " << json << "\n";
         }
@@ -488,6 +400,8 @@ int main(int argc, char** argv) {
                       << " spans)\n";
         }
         return 0;
+    } catch (const UsageError& e) {
+        usage(e.what());
     } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;

@@ -8,13 +8,9 @@
 //
 // Variants: accurate | sdlc | compensated.  Schemes: ripple | wallace |
 // dadda | fastcpa.  All commands are deterministic.
-#include <charconv>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
-#include <map>
 #include <string>
 
 #include "analysis/expected_error.h"
@@ -29,6 +25,7 @@
 #include "netlist/testbench.h"
 #include "netlist/vcd.h"
 #include "tech/synthesis.h"
+#include "util/cli.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -49,70 +46,30 @@ using namespace sdlc;
     std::exit(msg.empty() ? 0 : 2);
 }
 
-/// Minimal option parser: --key value pairs plus boolean flags.
-class Args {
-public:
-    Args(int argc, char** argv, int first) {
-        for (int i = first; i < argc; ++i) {
-            std::string key = argv[i];
-            if (key.rfind("--", 0) != 0 && key != "-o") usage("unexpected argument " + key);
-            if (key == "--exhaustive") {
-                flags_["exhaustive"] = true;
-                continue;
-            }
-            if (i + 1 >= argc) usage("missing value for " + key);
-            values_[key == "-o" ? "--out" : key] = argv[++i];
-        }
-    }
-    [[nodiscard]] std::string get(const std::string& key, const std::string& dflt = "") const {
-        const auto it = values_.find(key);
-        return it == values_.end() ? dflt : it->second;
-    }
-    /// An integer option in [lo, hi]; a malformed or out-of-range value is
-    /// a usage error.
-    [[nodiscard]] int get_int(const std::string& key, int dflt,
-                              int lo = std::numeric_limits<int>::min(),
-                              int hi = std::numeric_limits<int>::max()) const {
-        const std::string v = get(key);
-        if (v.empty()) return dflt;
-        long long n = 0;
-        const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
-        if (ec != std::errc() || end != v.data() + v.size()) {
-            usage(key + " expects an integer, got " + v);
-        }
-        if (n < lo || n > hi) {
-            usage(key + " must be in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
-        }
-        return static_cast<int>(n);
-    }
-    [[nodiscard]] bool flag(const std::string& key) const {
-        return flags_.count(key) != 0;
-    }
+/// The output path: -o, or its long form --out.
+std::string out_path(const CommandLine& cli, const std::string& dflt) {
+    return cli.get("-o", cli.get("--out", dflt));
+}
 
-private:
-    std::map<std::string, std::string> values_;
-    std::map<std::string, bool> flags_;
-};
-
-MultiplierConfig config_from(const Args& args) {
+MultiplierConfig config_from(const CommandLine& cli) {
     MultiplierConfig cfg;
-    cfg.width = args.get_int("--width", 8);
-    cfg.depth = args.get_int("--depth", 2);
-    const std::string variant = args.get("--variant", "sdlc");
+    cfg.width = cli.get_int("--width", 8);
+    cfg.depth = cli.get_int("--depth", 2);
+    const std::string variant = cli.get("--variant", "sdlc");
     if (!parse_multiplier_variant(variant, cfg.variant)) usage("unknown variant " + variant);
-    const std::string scheme = args.get("--scheme", "ripple");
+    const std::string scheme = cli.get("--scheme", "ripple");
     if (!parse_accumulation_scheme(scheme, cfg.scheme)) usage("unknown scheme " + scheme);
     return cfg;
 }
 
-int cmd_gen(const Args& args) {
-    const MultiplierConfig cfg = config_from(args);
+int cmd_gen(const CommandLine& cli) {
+    const MultiplierConfig cfg = config_from(cli);
     const ApproxMultiplier mul(cfg);
     const MultiplierNetlist hw = mul.build_netlist();
     const Netlist optimized = optimize(hw.net).netlist;
     const std::string module = "sdlc_mul";
 
-    const std::string out = args.get("--out", "sdlc_mul.v");
+    const std::string out = out_path(cli, "sdlc_mul.v");
     {
         std::ofstream f(out);
         if (!f) usage("cannot open " + out);
@@ -121,19 +78,19 @@ int cmd_gen(const Args& args) {
     std::cout << mul.describe() << " -> " << out << " ("
               << optimized.logic_gate_count() << " gates)\n";
 
-    if (const std::string tb = args.get("--tb"); !tb.empty()) {
+    if (const std::string tb = cli.get("--tb"); !tb.empty()) {
         std::ofstream f(tb);
         if (!f) usage("cannot open " + tb);
         write_verilog_testbench(f, optimized, module);
         std::cout << "testbench -> " << tb << "\n";
     }
-    if (const std::string dot = args.get("--dot"); !dot.empty()) {
+    if (const std::string dot = cli.get("--dot"); !dot.empty()) {
         std::ofstream f(dot);
         if (!f) usage("cannot open " + dot);
         write_dot(f, optimized, module);
         std::cout << "dot graph -> " << dot << "\n";
     }
-    if (const std::string vcd = args.get("--vcd"); !vcd.empty()) {
+    if (const std::string vcd = cli.get("--vcd"); !vcd.empty()) {
         std::ofstream f(vcd);
         if (!f) usage("cannot open " + vcd);
         VcdWriter writer(f, optimized, module);
@@ -148,8 +105,8 @@ int cmd_gen(const Args& args) {
     return 0;
 }
 
-int cmd_eval(const Args& args) {
-    const MultiplierConfig cfg = config_from(args);
+int cmd_eval(const CommandLine& cli) {
+    const MultiplierConfig cfg = config_from(cli);
     // The sweep engine on one point: the sliced exhaustive engine at or
     // below the cutoff, the sweep's seeded sampling above it. It takes the
     // widths a sweep takes.
@@ -157,8 +114,8 @@ int cmd_eval(const Args& args) {
     const ApproxMultiplier mul(cfg);  // rejects a depth outside [1, width]
     EvalOptions opts;
     opts.evaluate_hardware = false;
-    opts.samples = static_cast<uint64_t>(args.get_int("--samples", 1 << 22, 1));
-    if (args.flag("exhaustive")) {
+    opts.samples = static_cast<uint64_t>(cli.get_int("--samples", 1 << 22, 1));
+    if (cli.has("--exhaustive")) {
         if (cfg.width > kMaxExhaustiveWidth) {
             usage("--exhaustive needs --width <= " + std::to_string(kMaxExhaustiveWidth));
         }
@@ -187,8 +144,8 @@ int cmd_eval(const Args& args) {
     return 0;
 }
 
-int cmd_synth(const Args& args) {
-    const MultiplierConfig cfg = config_from(args);
+int cmd_synth(const CommandLine& cli) {
+    const MultiplierConfig cfg = config_from(cli);
     const ApproxMultiplier mul(cfg);
     const MultiplierNetlist hw = mul.build_netlist();
     const SynthesisReport r = synthesize(hw.net, CellLibrary::generic_90nm());
@@ -196,10 +153,10 @@ int cmd_synth(const Args& args) {
     return 0;
 }
 
-int cmd_blur(const Args& args) {
-    const int depth = args.get_int("--depth", 2);
+int cmd_blur(const CommandLine& cli) {
+    const int depth = cli.get_int("--depth", 2);
     Image input;
-    if (const std::string in = args.get("--input"); !in.empty()) {
+    if (const std::string in = cli.get("--input"); !in.empty()) {
         input = load_pgm(in);
     } else {
         input = make_scene(200, 200, 42);
@@ -210,7 +167,7 @@ int cmd_blur(const Args& args) {
     const Image out = convolve(input, kernel, [&](uint8_t px, uint8_t w) {
         return static_cast<uint32_t>(sdlc_multiply(plan, px, w));
     });
-    const std::string path = args.get("--out", "blur.pgm");
+    const std::string path = out_path(cli, "blur.pgm");
     save_pgm(out, path);
     std::cout << "depth " << depth << " blur -> " << path << " (PSNR vs exact blur: "
               << fmt_fixed(psnr(reference, out), 2) << " dB)\n";
@@ -220,16 +177,20 @@ int cmd_blur(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (argc < 2) usage();
-    const std::string cmd = argv[1];
+    const std::string cmd = argc < 2 ? "--help" : argv[1];
     try {
-        const Args args(argc, argv, 2);
-        if (cmd == "gen") return cmd_gen(args);
-        if (cmd == "eval") return cmd_eval(args);
-        if (cmd == "synth") return cmd_synth(args);
-        if (cmd == "blur") return cmd_blur(args);
-        if (cmd == "--help" || cmd == "-h") usage();
+        const CommandLine cli(argc, argv,
+                              {"--width", "--depth", "--variant", "--scheme", "--samples", "-o",
+                               "--out", "--tb", "--dot", "--vcd", "--input"},
+                              {"--exhaustive"}, 2);
+        if (cli.help() || cmd == "--help" || cmd == "-h") usage();
+        if (cmd == "gen") return cmd_gen(cli);
+        if (cmd == "eval") return cmd_eval(cli);
+        if (cmd == "synth") return cmd_synth(cli);
+        if (cmd == "blur") return cmd_blur(cli);
         usage("unknown command " + cmd);
+    } catch (const UsageError& e) {
+        usage(e.what());
     } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;

@@ -37,8 +37,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,6 +53,7 @@
 #include "serve/service.h"
 #include "serve/socket.h"
 #include "serve/transport.h"
+#include "util/cli.h"
 #include "util/json_parse.h"
 
 namespace {
@@ -120,82 +119,15 @@ using namespace sdlc::serve;
     std::exit(msg.empty() ? 0 : 2);
 }
 
-struct Args {
-    std::map<std::string, std::string> values;
-    std::set<std::string> flags;
-
-    Args(int argc, char** argv) {
-        const std::set<std::string> value_keys = {"--listen",         "--listen-tcp",
-                                                  "--threads",        "--workers",
-                                                  "--request-workers",
-                                                  "--queue-capacity", "--max-request-bytes",
-                                                  "--client",         "--socket",
-                                                  "--tcp",            "--output",
-                                                  "--shards",
-                                                  "--shard-timeout-ms", "--shard-retries",
-                                                  "--access-log",
-                                                  "--trace-out",      "--listen-http",
-                                                  "--auth-token-file", "--quota-rps",
-                                                  "--quota-burst",    "--http"};
-        const std::set<std::string> flag_keys = {"--quiet", "--scrape", "--reject-overload"};
-        for (int i = 1; i < argc; ++i) {
-            const std::string key = argv[i];
-            if (key == "--help" || key == "-h") usage();
-            if (flag_keys.count(key) != 0) {
-                flags.insert(key.substr(2));
-                continue;
-            }
-            if (value_keys.count(key) == 0) usage("unknown option " + key);
-            if (i + 1 >= argc) usage("missing value for " + key);
-            values[key] = argv[++i];
-        }
-    }
-
-    [[nodiscard]] std::string get(const std::string& key, const std::string& dflt = "") const {
-        const auto it = values.find(key);
-        return it == values.end() ? dflt : it->second;
-    }
-    [[nodiscard]] long get_long(const std::string& key, long dflt) const {
-        const std::string v = get(key);
-        if (v.empty()) return dflt;
-        long parsed = 0;
-        try {
-            size_t consumed = 0;
-            parsed = std::stol(v, &consumed);
-            if (consumed != v.size()) usage(key + " expects an integer, got \"" + v + "\"");
-        } catch (const std::logic_error&) {
-            // invalid_argument / out_of_range: a usage error, not a
-            // transport failure — exit 2, matching the documented contract.
-            usage(key + " expects an integer, got \"" + v + "\"");
-        }
-        if (parsed < 0) usage(key + " must be >= 0");
-        return parsed;
-    }
-    [[nodiscard]] double get_double(const std::string& key, double dflt) const {
-        const std::string v = get(key);
-        if (v.empty()) return dflt;
-        double parsed = 0.0;
-        try {
-            size_t consumed = 0;
-            parsed = std::stod(v, &consumed);
-            if (consumed != v.size()) usage(key + " expects a number, got \"" + v + "\"");
-        } catch (const std::logic_error&) {
-            usage(key + " expects a number, got \"" + v + "\"");
-        }
-        if (!(parsed >= 0.0)) usage(key + " must be >= 0");
-        return parsed;
-    }
-};
-
-ServiceOptions service_options(const Args& args) {
+ServiceOptions service_options(const CommandLine& cli) {
     ServiceOptions opts;
-    opts.eval_threads = static_cast<unsigned>(args.get_long("--threads", 0));
-    opts.request_workers = static_cast<unsigned>(args.get_long("--request-workers", 2));
-    opts.queue_capacity = static_cast<size_t>(args.get_long("--queue-capacity", 64));
-    opts.max_request_bytes = static_cast<size_t>(
-        args.get_long("--max-request-bytes", static_cast<long>(kDefaultMaxRequestBytes)));
-    opts.reject_when_full = args.flags.count("reject-overload") != 0;
-    if (const std::string path = args.get("--access-log"); !path.empty()) {
+    opts.eval_threads = static_cast<unsigned>(cli.get_int("--threads", 0, 0));
+    opts.request_workers = static_cast<unsigned>(cli.get_int("--request-workers", 2, 0));
+    opts.queue_capacity = static_cast<size_t>(cli.get_int("--queue-capacity", 64, 0));
+    opts.max_request_bytes = static_cast<size_t>(cli.get_int(
+        "--max-request-bytes", static_cast<int>(kDefaultMaxRequestBytes), 0));
+    opts.reject_when_full = cli.has("--reject-overload");
+    if (const std::string path = cli.get("--access-log"); !path.empty()) {
         std::string error;
         opts.access_log = obs::AccessLog::open(path, &error);
         if (opts.access_log == nullptr) usage("--access-log: " + error);
@@ -206,8 +138,8 @@ ServiceOptions service_options(const Args& args) {
 /// Writes the service's retained trace trees as Chrome trace-event JSON.
 /// Best-effort at exit: a write failure is reported but never changes the
 /// server's exit status (observability must not fail the workload).
-void write_trace_out(const Args& args, const SweepService& service) {
-    const std::string path = args.get("--trace-out");
+void write_trace_out(const CommandLine& cli, const SweepService& service) {
+    const std::string path = cli.get("--trace-out");
     if (path.empty()) return;
     std::ofstream out(path, std::ios::binary);
     out << obs::chrome_trace_json(service.trace_trees());
@@ -217,34 +149,17 @@ void write_trace_out(const Args& args, const SweepService& service) {
 /// Builds the service for a server mode: a plain SweepService, or a
 /// CoordinatorService fanning sweep shards out to --workers replicas
 /// (serve/socket.h endpoint grammar: unix:PATH or HOST:PORT).
-std::unique_ptr<SweepService> make_service(const Args& args, const ServiceOptions& opts) {
-    const bool clustered = args.values.count("--workers") != 0;
-    if (!clustered) {
-        for (const char* flag : {"--shards", "--shard-timeout-ms", "--shard-retries"}) {
-            if (args.values.count(flag) != 0) {
-                usage(std::string(flag) + " requires --workers LIST");
-            }
-        }
-        return std::make_unique<SweepService>(opts);
-    }
-    cluster::ClusterOptions cluster;
-    std::string error;
-    if (!parse_endpoint_list(args.get("--workers"), cluster.workers, &error)) {
-        usage("--workers: " + error);
-    }
-    if (cluster.workers.empty()) usage("--workers: empty worker list");
-    cluster.shards = static_cast<size_t>(args.get_long("--shards", 32));
-    if (cluster.shards == 0) usage("--shards must be >= 1");
-    cluster.shard_timeout_ms = static_cast<int>(args.get_long("--shard-timeout-ms", 60000));
-    cluster.shard_retries = static_cast<int>(args.get_long("--shard-retries", 2));
+std::unique_ptr<SweepService> make_service(const CommandLine& cli, const ServiceOptions& opts) {
+    cluster::ClusterOptions cluster = cluster::cluster_options_from(cli);
+    if (cluster.workers.empty()) return std::make_unique<SweepService>(opts);
     return std::make_unique<cluster::CoordinatorService>(opts, std::move(cluster));
 }
 
 /// Client/scrape destination: --socket PATH or --tcp HOST:PORT. Returns a
 /// connected fd (caller owns it).
-int connect_destination(const Args& args) {
-    const std::string socket_path = args.get("--socket");
-    const std::string tcp_spec = args.get("--tcp");
+int connect_destination(const CommandLine& cli) {
+    const std::string socket_path = cli.get("--socket");
+    const std::string tcp_spec = cli.get("--tcp");
     if (socket_path.empty() == tcp_spec.empty()) {
         usage("give exactly one of --socket PATH or --tcp HOST:PORT");
     }
@@ -261,9 +176,9 @@ int connect_destination(const Args& args) {
 
 // ------------------------------------------------------------ stdio mode ----
 
-int run_stdio_server(const Args& args) {
-    const ServiceOptions opts = service_options(args);
-    const std::unique_ptr<SweepService> service_ptr = make_service(args, opts);
+int run_stdio_server(const CommandLine& cli) {
+    const ServiceOptions opts = service_options(cli);
+    const std::unique_ptr<SweepService> service_ptr = make_service(cli, opts);
     SweepService& service = *service_ptr;
     const auto sink = std::make_shared<OstreamSink>(std::cout);
 
@@ -284,11 +199,7 @@ int run_stdio_server(const Args& args) {
             if (line.empty()) continue;
             if (!service.submit_line(line, sink)) break;  // draining: stop reading
         }
-        if (lines.overflowed()) {
-            sink->write_line(error_event(
-                "", "too_large", "unterminated request line exceeded the size cap"));
-            sink->write_line(done_event("", false));
-        }
+        if (lines.overflowed()) service.reject_oversized_line(*sink);
         {
             std::lock_guard<std::mutex> lock(mutex);
             reader_done = true;
@@ -301,7 +212,7 @@ int run_stdio_server(const Args& args) {
         cv.wait(lock, [&] { return reader_done || service.shutdown_requested(); });
     }
     service.shutdown();  // drain queued requests, join workers
-    write_trace_out(args, service);
+    write_trace_out(cli, service);
     if (reader_done) {
         reader.join();
         return 0;
@@ -316,50 +227,48 @@ int run_stdio_server(const Args& args) {
 
 // ----------------------------------------------------------- socket mode ----
 
-int run_socket_server(const Args& args) {
+int run_socket_server(const CommandLine& cli) {
     // Bind every listener before spinning up the service so a bad endpoint
     // fails fast without spawning any worker.
     std::unique_ptr<SocketListener> line_listener;
-    if (const std::string path = args.get("--listen"); !path.empty()) {
+    if (const std::string path = cli.get("--listen"); !path.empty()) {
         line_listener = std::make_unique<UnixSocketServer>(path);
-    } else if (args.values.count("--listen-tcp") != 0) {
+    } else if (cli.has("--listen-tcp")) {
         std::string host;
         uint16_t port = 0;
         std::string error;
-        if (!parse_host_port(args.get("--listen-tcp"), host, port, &error)) {
+        if (!parse_host_port(cli.get("--listen-tcp"), host, port, &error)) {
             usage("--listen-tcp: " + error);
         }
         line_listener = std::make_unique<TcpSocketServer>(host, port);
     }
     std::unique_ptr<TcpSocketServer> http_listener;
-    if (args.values.count("--listen-http") != 0) {
+    if (cli.has("--listen-http")) {
         std::string host;
         uint16_t port = 0;
         std::string error;
-        if (!parse_host_port(args.get("--listen-http"), host, port, &error)) {
+        if (!parse_host_port(cli.get("--listen-http"), host, port, &error)) {
             usage("--listen-http: " + error);
         }
         http_listener = std::make_unique<TcpSocketServer>(host, port);
     }
-    const ServiceOptions opts = service_options(args);
-    const std::unique_ptr<SweepService> service = make_service(args, opts);
+    const ServiceOptions opts = service_options(cli);
+    const std::unique_ptr<SweepService> service = make_service(cli, opts);
 
     HttpOptions http;
     if (http_listener != nullptr) {
         // The HTTP and line front ends share one request-size cap, so a
         // request body is judged by the same limit on either transport.
         http.max_body_bytes = opts.max_request_bytes;
-        if (const std::string path = args.get("--auth-token-file"); !path.empty()) {
+        if (const std::string path = cli.get("--auth-token-file"); !path.empty()) {
             std::string error;
             if (!read_auth_token_file(path, http.auth_token, &error)) {
                 usage("--auth-token-file: " + error);
             }
         }
-        http.quota_rps = args.get_double("--quota-rps", 0.0);
-        if (args.values.count("--quota-rps") != 0 && http.quota_rps <= 0.0) {
-            usage("--quota-rps must be > 0");
-        }
-        http.quota_burst = args.get_double("--quota-burst", 0.0);
+        http.quota_rps = cli.get_double("--quota-rps", 0.0, 0.0);
+        if (cli.has("--quota-rps") && http.quota_rps == 0.0) usage("--quota-rps must be > 0");
+        http.quota_burst = cli.get_double("--quota-burst", 0.0, 0.0);
         http.metrics_fn = [&service_ref = *service] {
             return prometheus_metrics(service_ref.stats());
         };
@@ -391,16 +300,16 @@ int run_socket_server(const Args& args) {
     } else {
         serve_listener(*line_listener, *service, opts.max_request_bytes);
     }
-    write_trace_out(args, *service);
+    write_trace_out(cli, *service);
     return 0;
 }
 
 // ----------------------------------------------------------- client mode ----
 
-int run_client(const Args& args) {
-    const std::string request_path = args.get("--client");
-    const std::string output_path = args.get("--output");
-    const bool quiet = args.flags.count("quiet") != 0;
+int run_client(const CommandLine& cli) {
+    const std::string request_path = cli.get("--client");
+    const std::string output_path = cli.get("--output");
+    const bool quiet = cli.has("--quiet");
 
     // Collect the request lines first so we know how many done events to
     // expect before anything is sent.
@@ -423,7 +332,7 @@ int run_client(const Args& args) {
     }
     if (requests.empty()) usage("no request lines in " + request_path);
 
-    const int fd = connect_destination(args);
+    const int fd = connect_destination(cli);
     // Send from a separate thread while the main thread drains responses:
     // writing everything first can deadlock once the server's bounded
     // request queue and both socket buffers fill (the server stops reading
@@ -536,20 +445,20 @@ int run_client(const Args& args) {
 
 // ----------------------------------------------------------- scrape mode ----
 
-int run_scrape(const Args& args) {
-    if (args.values.count("--http") != 0) {
-        if (args.values.count("--socket") != 0 || args.values.count("--tcp") != 0) {
+int run_scrape(const CommandLine& cli) {
+    if (cli.has("--http")) {
+        if (cli.has("--socket") || cli.has("--tcp")) {
             usage("give exactly one of --socket, --tcp or --http");
         }
         std::string host;
         uint16_t port = 0;
         std::string error;
-        if (!parse_host_port(args.get("--http"), host, port, &error,
+        if (!parse_host_port(cli.get("--http"), host, port, &error,
                              /*allow_port_zero=*/false)) {
             usage("--http: " + error);
         }
         std::string token;
-        if (const std::string path = args.get("--auth-token-file"); !path.empty()) {
+        if (const std::string path = cli.get("--auth-token-file"); !path.empty()) {
             if (!read_auth_token_file(path, token, &error)) {
                 usage("--auth-token-file: " + error);
             }
@@ -575,7 +484,7 @@ int run_scrape(const Args& args) {
         std::cout << response.body;
         return 0;
     }
-    const int fd = connect_destination(args);
+    const int fd = connect_destination(cli);
     const std::string request = "{\"id\": \"scrape\", \"type\": \"metrics\"}\n";
     if (!write_all(fd, request)) {
         std::cerr << "error: send failed\n";
@@ -643,31 +552,36 @@ int main(int argc, char** argv) {
     // A client that disconnects mid-stream must not kill the server.
     std::signal(SIGPIPE, SIG_IGN);
     try {
-        const Args args(argc, argv);
+        const CommandLine cli(
+            argc, argv,
+            {"--listen", "--listen-tcp", "--listen-http", "--auth-token-file", "--quota-rps",
+             "--quota-burst", "--threads", "--request-workers", "--queue-capacity",
+             "--max-request-bytes", "--access-log", "--trace-out", "--workers", "--shards",
+             "--shard-timeout-ms", "--shard-retries", "--client", "--socket", "--tcp",
+             "--output", "--http"},
+            {"--reject-overload", "--quiet", "--scrape"});
+        if (cli.help()) usage();
         // One mode per invocation: ambiguous combinations are rejected, not
         // silently resolved by precedence.
-        if (args.values.count("--listen") != 0 && args.values.count("--listen-tcp") != 0) {
+        if (cli.has("--listen") && cli.has("--listen-tcp")) {
             usage("give --listen or --listen-tcp, not both");
         }
-        const bool server = args.values.count("--listen") != 0 ||
-                            args.values.count("--listen-tcp") != 0 ||
-                            args.values.count("--listen-http") != 0;
-        const bool client = args.values.count("--client") != 0;
-        const bool scrape = args.flags.count("scrape") != 0;
-        if (args.values.count("--http") != 0 && !scrape) {
+        const bool server = cli.has("--listen") || cli.has("--listen-tcp") ||
+                            cli.has("--listen-http");
+        const bool client = cli.has("--client");
+        const bool scrape = cli.has("--scrape");
+        if (cli.has("--http") && !scrape) {
             usage("--http is a --scrape option (servers use --listen-http)");
         }
         for (const char* flag : {"--quota-rps", "--quota-burst"}) {
-            if (args.values.count(flag) != 0 && args.values.count("--listen-http") == 0) {
+            if (cli.has(flag) && !cli.has("--listen-http")) {
                 usage(std::string(flag) + " requires --listen-http");
             }
         }
-        if (args.values.count("--quota-burst") != 0 &&
-            args.values.count("--quota-rps") == 0) {
+        if (cli.has("--quota-burst") && !cli.has("--quota-rps")) {
             usage("--quota-burst requires --quota-rps");
         }
-        if (args.values.count("--auth-token-file") != 0 &&
-            args.values.count("--listen-http") == 0 && args.values.count("--http") == 0) {
+        if (cli.has("--auth-token-file") && !cli.has("--listen-http") && !cli.has("--http")) {
             usage("--auth-token-file requires --listen-http (server) or "
                   "--scrape --http (client)");
         }
@@ -675,20 +589,19 @@ int main(int argc, char** argv) {
             usage("server (--listen/--listen-tcp), client (--client) and --scrape "
                   "are mutually exclusive modes");
         }
-        if ((client || scrape) && (args.values.count("--access-log") != 0 ||
-                                   args.values.count("--trace-out") != 0)) {
+        if ((client || scrape) && (cli.has("--access-log") || cli.has("--trace-out"))) {
             usage("--access-log/--trace-out are server options");
         }
-        if ((client || scrape) &&
-            (args.values.count("--workers") != 0 || args.values.count("--shards") != 0 ||
-             args.values.count("--shard-timeout-ms") != 0 ||
-             args.values.count("--shard-retries") != 0)) {
+        if ((client || scrape) && (cli.has("--workers") || cli.has("--shards") ||
+                                   cli.has("--shard-timeout-ms") || cli.has("--shard-retries"))) {
             usage("--workers/--shards/--shard-timeout-ms/--shard-retries are server options");
         }
-        if (scrape) return run_scrape(args);
-        if (client) return run_client(args);
-        if (server) return run_socket_server(args);
-        return run_stdio_server(args);
+        if (scrape) return run_scrape(cli);
+        if (client) return run_client(cli);
+        if (server) return run_socket_server(cli);
+        return run_stdio_server(cli);
+    } catch (const UsageError& e) {
+        usage(e.what());
     } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << "\n";
         return 3;
