@@ -1,8 +1,8 @@
 // Kernel-dispatch throughput: plan-interpreter vs fast-path kernels vs the
-// sliced engine, plus the end-to-end effect on the default DSE sweep
-// (cold and warm hardware cache) and a width-12 exhaustive engine
-// comparison over every sdlc and compensated depth. Writes BENCH_eval.json
-// so the perf trajectory is tracked across PRs.
+// sliced engine vs the sampled block kernel, plus the end-to-end effect on
+// the default DSE sweep (cold and warm hardware cache) and a width-12
+// exhaustive engine comparison over every sdlc and compensated depth.
+// Writes BENCH_eval.json so the perf trajectory is tracked across PRs.
 //
 //   --quick       lighter per-config measurement budget
 //   --csv FILE    also dump the per-config table as CSV
@@ -30,6 +30,7 @@
 #include "api/approx_multiplier.h"
 #include "bench_util.h"
 #include "core/kernels.h"
+#include "core/kernels_sampled.h"
 #include "core/kernels_sliced.h"
 #include "dse/evaluator.h"
 #include "dse/sweep.h"
@@ -71,6 +72,36 @@ double measure_ns_per_op(int width, uint64_t ops_per_batch, double min_seconds, 
     return secs * 1e9 / static_cast<double>(ops);
 }
 
+/// ns/op of the sampled kernel over measure_ns_per_op's operand stream,
+/// drawn into blocks of 64 pairs and evaluated one block per call, as the
+/// sampled engine does.
+double measure_sampled_ns_per_op(const SampledMultiplyKernel& kernel, uint64_t ops_per_batch,
+                                 double min_seconds) {
+    constexpr unsigned kBlock = SampledMultiplyKernel::kMaxPairs;
+    const uint64_t mask = (uint64_t{1} << kernel.config().width) - 1;
+    uint64_t a[kBlock], b[kBlock], out[kBlock];
+    uint64_t ops = 0;
+    uint64_t sink = 0;
+    const auto t0 = Clock::now();
+    double secs = 0.0;
+    do {
+        Xoshiro256 rng(0x5d1cbe9c);  // measure_ns_per_op's stream
+        for (uint64_t i = 0; i < ops_per_batch; i += kBlock) {
+            const unsigned n = static_cast<unsigned>(std::min<uint64_t>(kBlock, ops_per_batch - i));
+            for (unsigned l = 0; l < n; ++l) {
+                a[l] = rng.next() & mask;
+                b[l] = rng.next() & mask;
+            }
+            kernel.multiply(a, b, n, out);
+            for (unsigned l = 0; l < n; ++l) sink ^= out[l];
+        }
+        ops += ops_per_batch;
+        secs = std::chrono::duration<double>(Clock::now() - t0).count();
+    } while (secs < min_seconds);
+    asm volatile("" : : "g"(sink) : "memory");
+    return secs * 1e9 / static_cast<double>(ops);
+}
+
 /// ns per product through the sliced engine, measured the way a
 /// sweep consumes it: prepare(a) once per stripe, then every aligned block
 /// of the full b range. Products per stripe = 2^width.
@@ -107,6 +138,7 @@ struct KernelRow {
     double interp_ns = 0.0;
     double kernel_ns = 0.0;
     double sliced_ns = 0.0;  ///< 0 when the config is not sliced-eligible
+    double sampled_ns = 0.0;  ///< 0 when the config is not sampled-eligible
 };
 
 /// One width-12 exhaustive engine-comparison row: the full 16.7M-pair
@@ -216,7 +248,7 @@ int main(int argc, char** argv) {
 
     std::vector<KernelRow> rows;
     TextTable table({"config", "path", "interpreter ns/op", "kernel ns/op", "sliced ns/op",
-                     "sliced speedup"});
+                     "sliced speedup", "sampled ns/op"});
     for (const MultiplierConfig& cfg : configs) {
         KernelRow row;
         row.config = cfg;
@@ -231,13 +263,19 @@ int main(int argc, char** argv) {
             const SlicedMultiplyKernel sliced(cfg);
             row.sliced_ns = measure_sliced_ns_per_op(sliced, budget);
         }
+        if (SampledMultiplyKernel::eligible(cfg)) {
+            const SampledMultiplyKernel sampled(cfg);
+            row.sampled_ns = measure_sampled_ns_per_op(sampled, batch, budget);
+        }
         rows.push_back(row);
         table.add_row({mul.describe(), row.path, fmt_fixed(row.interp_ns, 1),
                        fmt_fixed(row.kernel_ns, 1),
                        row.sliced_ns > 0.0 ? fmt_fixed(row.sliced_ns, 2) : "-",
-                       row.sliced_ns > 0.0 ? fmt_fixed(row.kernel_ns / row.sliced_ns, 1) : "-"});
+                       row.sliced_ns > 0.0 ? fmt_fixed(row.kernel_ns / row.sliced_ns, 1) : "-",
+                       row.sampled_ns > 0.0 ? fmt_fixed(row.sampled_ns, 2) : "-"});
     }
     table.print(std::cout);
+    std::cout << "(sampled body: " << SampledMultiplyKernel::body_name() << ")\n";
 
     // Width-12 exhaustive engine comparison at every sdlc and compensated
     // depth: the full 4^12-pair sweep with ErrorAccumulator, scalar vs
@@ -324,6 +362,9 @@ int main(int argc, char** argv) {
             if (r.sliced_ns > 0.0) {
                 f << ", \"sliced_ns_per_op\": " << json_number(r.sliced_ns)
                   << ", \"sliced_products_per_sec\": " << json_number(1e9 / r.sliced_ns);
+            }
+            if (r.sampled_ns > 0.0) {
+                f << ", \"sampled_ns_per_op\": " << json_number(r.sampled_ns);
             }
             f << ", \"speedup\": " << json_number(r.interp_ns / r.kernel_ns) << "}"
               << (i + 1 < rows.size() ? ",\n" : "\n");

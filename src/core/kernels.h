@@ -58,10 +58,14 @@ using MultiplyKernelFn = uint64_t (*)(uint64_t a, uint64_t b);
 /// ("accurate", "sdlc-fast2", "planned", ...). Diagnostic only.
 [[nodiscard]] const char* multiply_kernel_name(const MultiplierConfig& config) noexcept;
 
-/// Per-configuration fast evaluator. Construction is O(plan size); each
-/// call is O(width) worst case. Results are bit-identical to
-/// ApproxMultiplier::multiply for the same configuration (enforced by
-/// exhaustive tests).
+/// Per-configuration scalar evaluator. Construction is O(plan size); a
+/// call is O(rows) for the planned error plus O(terms) for the compensated
+/// variant's gated terms (up to 120 terms at width 16, 496 at width 32).
+/// Results are bit-identical to ApproxMultiplier::multiply for the same
+/// configuration (enforced by exhaustive tests). No engine runs on it: the
+/// sweep engines use the block kernels (core/kernels_sliced.h,
+/// core/kernels_sampled.h), and MultiplyKernel is the oracle that tests and
+/// the paper benches compare them against.
 class MultiplyKernel {
 public:
     /// Precomputes the dispatch decision and, for planned configurations,

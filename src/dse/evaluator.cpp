@@ -11,6 +11,7 @@
 
 #include "api/approx_multiplier.h"
 #include "core/kernels.h"
+#include "core/kernels_sampled.h"
 #include "core/kernels_sliced.h"
 #include "error/evaluate_sliced.h"
 #include "util/rng.h"
@@ -64,33 +65,38 @@ uint64_t draw_operand(Xoshiro256& rng, uint64_t mask, OperandDistribution dist) 
     return rng.next() & mask;
 }
 
-/// Pairs a sampled evaluation draws between two polls of its stop: ~2 ms
-/// for the slowest width-16 function on one core.
+/// Pairs a sampled evaluation draws between two polls of its stop, a
+/// multiple of the kernel's block: ~0.1 ms for the slowest width-16
+/// function on one core.
 constexpr uint64_t kSampledPollPairs = 4096;
+static_assert(kSampledPollPairs % SampledMultiplyKernel::kMaxPairs == 0);
 
-/// Seeded Monte-Carlo metrics over `samples` pairs drawn from `dist`. Polls
-/// `stop` every kSampledPollPairs pairs and, once it fires, returns no
-/// result, like the exhaustive engine.
-template <typename Fn>
-std::optional<ErrorMetrics> sampled_distribution_metrics(int width, uint64_t samples,
-                                                         uint64_t seed, OperandDistribution dist,
-                                                         const EvalStop& stop, Fn approx) {
+}  // namespace
+
+std::optional<ErrorMetrics> sampled_error_metrics(const SampledMultiplyKernel& kernel,
+                                                  uint64_t samples, uint64_t seed,
+                                                  OperandDistribution dist, const EvalStop& stop) {
+    constexpr unsigned kBlock = SampledMultiplyKernel::kMaxPairs;
+    const int width = kernel.config().width;
     ErrorAccumulator acc(width);
     Xoshiro256 rng(seed);
     const uint64_t mask = (uint64_t{1} << width) - 1;
+    uint64_t a[kBlock], b[kBlock], approx[kBlock];
     for (uint64_t done = 0; done < samples; done += kSampledPollPairs) {
         if (stop.cancelled() || stop.expired()) return std::nullopt;
         const uint64_t end = std::min(samples, done + kSampledPollPairs);
-        for (uint64_t i = done; i < end; ++i) {
-            const uint64_t a = draw_operand(rng, mask, dist);
-            const uint64_t b = draw_operand(rng, mask, dist);
-            acc.add(a * b, approx(a, b));
+        for (uint64_t i = done; i < end; i += kBlock) {
+            const unsigned n = static_cast<unsigned>(std::min<uint64_t>(kBlock, end - i));
+            for (unsigned l = 0; l < n; ++l) {
+                a[l] = draw_operand(rng, mask, dist);
+                b[l] = draw_operand(rng, mask, dist);
+            }
+            kernel.multiply(a, b, n, approx);
+            for (unsigned l = 0; l < n; ++l) acc.add(a[l] * b[l], approx[l]);
         }
     }
     return acc.finalize();
 }
-
-}  // namespace
 
 const char* error_engine_name(ErrorEngine e) noexcept {
     switch (e) {
@@ -164,10 +170,11 @@ std::optional<ErrorMetrics> evaluate_error(const MultiplierConfig& config,
         return exact;
     }
     if (engine == ErrorEngine::kSampled) {
-        const MultiplyKernel kernel(config);
-        return sampled_distribution_metrics(
-            config.width, opts.samples, point_seed(opts.seed, config), opts.distribution, stop,
-            [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); });
+        // Every non-exact config the sampled kernel rejects cannot be
+        // built; its constructor throws std::invalid_argument for them.
+        const SampledMultiplyKernel kernel(config);
+        return sampled_error_metrics(kernel, opts.samples, point_seed(opts.seed, config),
+                                     opts.distribution, stop);
     }
     // 64 products per block, bit-identical to the scalar
     // exhaustive_metrics reference (enforced by exhaustive tests). The

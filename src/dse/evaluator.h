@@ -23,11 +23,12 @@
 // --repeat` run) re-evaluates each function and rechecks the engines.
 //
 // Exhaustive error evaluation runs on the sliced block engine
-// (core/kernels_sliced.h), sampling on the scalar MultiplyKernel
-// (core/kernels.h), and hardware cost is memoized in a content-keyed
-// CostCache shared across the sweep; all produce results bit-identical to
-// the direct ApproxMultiplier / synthesize() path, so the cache changes
-// speed only (see EvalOptions::use_hw_cache).
+// (core/kernels_sliced.h), sampling on the sampled block kernel
+// (core/kernels_sampled.h, 64 drawn pairs per call), and hardware cost is
+// memoized in a content-keyed CostCache shared across the sweep; all
+// produce results bit-identical to the direct ApproxMultiplier /
+// synthesize() path, so the cache changes speed only (see
+// EvalOptions::use_hw_cache).
 #ifndef SDLC_DSE_EVALUATOR_H
 #define SDLC_DSE_EVALUATOR_H
 
@@ -35,15 +36,18 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/kernels_sampled.h"
 #include "core/kernels_sliced.h"
 #include "dse/cost_cache.h"
 #include "dse/pareto.h"
 #include "dse/sweep.h"
+#include "error/evaluate_sliced.h"
 #include "error/metrics.h"
 #include "obs/trace.h"
 #include "tech/cell_library.h"
@@ -121,8 +125,8 @@ struct EvalOptions {
     /// SweepDeadlineExceeded. Checked at the same granularity as `cancel`:
     /// before every design point, inside an exhaustive point once per step
     /// of 8 stripes (error/evaluate_sliced.h) and inside a sampled one
-    /// every 4096 pairs, so one point overshoots by at most a step or 4096
-    /// pairs (~2 ms at width 16 on one core either way). evaluate_point
+    /// every 4096 pairs, so one point overshoots by at most a step (~2 ms
+    /// at width 16 on one core) or 4096 pairs (~0.1 ms). evaluate_point
     /// ignores both. Points already reported through on_point stay
     /// reported: the partial stream is always a strict prefix of the full
     /// enumeration-order stream.
@@ -249,6 +253,19 @@ struct DesignPoint {
 /// EvalOptions regardless of the caller's threading).
 [[nodiscard]] DesignPoint evaluate_point(const MultiplierConfig& config,
                                          const EvalOptions& opts = {});
+
+/// The sampled engine: seeded Monte-Carlo metrics of `kernel`'s
+/// configuration over `samples` pairs drawn from `dist` by one Xoshiro256
+/// seeded with `seed`, a before b. It draws 64 pairs, evaluates them in one
+/// kernel call and adds them to one ErrorAccumulator in draw order, so the
+/// metrics do not depend on the block size: with kUniform (a draw is
+/// `rng.next() & mask`) they equal error/evaluate.h's sampled_metrics over
+/// MultiplyKernel bit for bit. evaluate_point runs it above the cutoff with
+/// the function's own seed. Polls `stop` every 4096 pairs and, once it
+/// fires, returns no result.
+[[nodiscard]] std::optional<ErrorMetrics> sampled_error_metrics(
+    const SampledMultiplyKernel& kernel, uint64_t samples, uint64_t seed,
+    OperandDistribution dist, const EvalStop& stop = {});
 
 /// Evaluates every point of the sweep in parallel, one error evaluation per
 /// error function (see the file comment). The result order matches

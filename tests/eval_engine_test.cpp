@@ -34,6 +34,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -43,6 +44,7 @@
 
 #include "api/approx_multiplier.h"
 #include "core/kernels.h"
+#include "core/kernels_sampled.h"
 #include "core/kernels_sliced.h"
 #include "dse/evaluator.h"
 #include "dse/point_wire.h"
@@ -317,6 +319,47 @@ TEST(ExactKernelShortcut, EqualsTheSampledEngineBitForBit) {
                   error_bits(config, engine))
             << operand_distribution_name(dist);
     }
+}
+
+TEST(SampledEngine, EqualsThePairAtATimeReferenceBitForBit) {
+    // The block engine draws, multiplies and accumulates in the order of a
+    // pair-at-a-time loop, so with uniform draws it equals sampled_metrics
+    // over MultiplyKernel in every bit of every sum, not just in an
+    // export's 12 digits. Sample counts: a lone pair, a short block, a
+    // poll boundary crossed by one pair (4097 = 64 * 64 + 1), and the
+    // goldens' 5000 = 78 * 64 + 8.
+    for (const int width : {3, 9, 16, 17, 32}) {
+        for (const MultiplierVariant variant :
+             {MultiplierVariant::kSdlc, MultiplierVariant::kCompensated}) {
+            for (const int depth : {2, (width + 1) / 2, width}) {
+                const MultiplierConfig config{width, depth, variant,
+                                              AccumulationScheme::kRowRipple};
+                const SampledMultiplyKernel kernel(config);
+                const MultiplyKernel scalar(config);
+                for (const uint64_t samples : {1u, 63u, 4097u, 5000u}) {
+                    const uint64_t seed = 0x5eed0000u + samples;
+                    const std::optional<ErrorMetrics> engine = sampled_error_metrics(
+                        kernel, samples, seed, OperandDistribution::kUniform);
+                    ASSERT_TRUE(engine.has_value());
+                    const ErrorMetrics reference = sampled_metrics(
+                        width, samples, seed,
+                        [&scalar](uint64_t a, uint64_t b) { return scalar(a, b); });
+                    EXPECT_EQ(error_bits(config, *engine), error_bits(config, reference))
+                        << ApproxMultiplier(config).describe() << ", " << samples << " samples";
+                }
+            }
+        }
+    }
+}
+
+TEST(SampledEngine, ReturnsNoResultOnceCancelled) {
+    const SampledMultiplyKernel kernel(
+        MultiplierConfig{16, 4, MultiplierVariant::kCompensated, AccumulationScheme::kRowRipple});
+    const std::atomic<bool> cancelled{true};
+    EvalStop stop;
+    stop.cancel = &cancelled;
+    EXPECT_FALSE(
+        sampled_error_metrics(kernel, 1u << 18, 1, OperandDistribution::kUniform, stop));
 }
 
 TEST(ExhaustiveEngine, SweepEqualsTheScalarReferenceBitForBit) {

@@ -248,6 +248,23 @@ check_usage "dse_tool unknown distribution" "$dse" --dist gausian
 check_usage "sdlc eval misspelt option" "$sdlc" eval --sample 5
 check_usage "bench misspelt option" "$bench" --quik
 check_usage "bench option without value" "$bench" --csv
+
+# The service's numeric options and --reject-overload are server options
+# too: a client or scraper given one is a usage error, malformed or not,
+# before it connects (the socket is gone, so a connect would exit 3).
+check_usage "threads in client mode" "$tool" --client good.ndjson --socket "$sock" \
+    --threads abc --request-workers -5 --max-request-bytes zz
+check_usage "request workers in client mode" "$tool" --client good.ndjson --socket "$sock" \
+    --request-workers 2
+check_usage "queue capacity in client mode" "$tool" --client good.ndjson --socket "$sock" \
+    --queue-capacity 8
+check_usage "max request bytes in client mode" "$tool" --client good.ndjson --socket "$sock" \
+    --max-request-bytes 4096
+check_usage "reject overload in client mode" "$tool" --client good.ndjson --socket "$sock" \
+    --reject-overload
+check_usage "threads in scrape mode" "$tool" --scrape --socket "$sock" --threads 2
+check_usage "reject overload in scrape mode" "$tool" --scrape --socket "$sock" --reject-overload
+
 timeout 30 "$sdlc" eval --help >/dev/null 2>&1
 check_exit "sdlc eval --help" 0 $?
 

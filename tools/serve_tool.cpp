@@ -589,12 +589,15 @@ int main(int argc, char** argv) {
             usage("server (--listen/--listen-tcp), client (--client) and --scrape "
                   "are mutually exclusive modes");
         }
-        if ((client || scrape) && (cli.has("--access-log") || cli.has("--trace-out"))) {
-            usage("--access-log/--trace-out are server options");
-        }
-        if ((client || scrape) && (cli.has("--workers") || cli.has("--shards") ||
-                                   cli.has("--shard-timeout-ms") || cli.has("--shard-retries"))) {
-            usage("--workers/--shards/--shard-timeout-ms/--shard-retries are server options");
+        // Only a server reads these, so a client or scraper would ignore
+        // them, malformed or not.
+        if (client || scrape) {
+            for (const char* flag :
+                 {"--threads", "--request-workers", "--queue-capacity", "--max-request-bytes",
+                  "--reject-overload", "--access-log", "--trace-out", "--workers", "--shards",
+                  "--shard-timeout-ms", "--shard-retries"}) {
+                if (cli.has(flag)) usage(std::string(flag) + " is a server option");
+            }
         }
         if (scrape) return run_scrape(cli);
         if (client) return run_client(cli);
