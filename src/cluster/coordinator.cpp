@@ -10,7 +10,8 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
-#include <optional>
+#include <exception>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -20,7 +21,6 @@
 #include "obs/trace.h"
 #include "serve/socket.h"
 #include "util/json_parse.h"
-#include "util/thread_pool.h"
 
 namespace sdlc::cluster {
 
@@ -124,19 +124,9 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
         }
     }
 
-    const std::vector<MultiplierConfig> configs = spec.enumerate();  // validates the spec
-    size_t lo = 0;
-    size_t hi = configs.size();
-    if (eval.shard_lo != 0 || eval.shard_hi != 0) {
-        if (eval.shard_lo >= eval.shard_hi || eval.shard_hi > configs.size()) {
-            throw std::invalid_argument(
-                "sweep shard range [" + std::to_string(eval.shard_lo) + ", " +
-                std::to_string(eval.shard_hi) + ") is invalid for " +
-                std::to_string(configs.size()) + " points");
-        }
-        lo = eval.shard_lo;
-        hi = eval.shard_hi;
-    }
+    std::vector<MultiplierConfig> configs = spec.enumerate();  // validates the spec
+    const auto [lo, hi] = sweep_shard_range(eval, configs.size());
+    configs = std::vector<MultiplierConfig>(configs.begin() + lo, configs.begin() + hi);
 
     const std::vector<IndexRange> plan = plan_shards(lo, hi, opts.shards);
 
@@ -164,6 +154,7 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
         bool abort = false;
         bool cancel_hit = false;
         bool deadline_hit = false;
+        std::exception_ptr error;  ///< first exception on a dispatch thread
     } d;
     for (size_t i = 0; i < plan.size(); ++i) d.queue.push_back(i);
     d.failures.assign(plan.size(), 0);
@@ -181,16 +172,12 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
     // outlives the dispatch threads, which join before we return.
     obs::SpanRecorder* const rec = eval.trace.valid ? eval.recorder : nullptr;
 
-    // The sub-request every shard derives from: same sweep, same
-    // serializable eval knobs, bit-exact streamed points, no export.
+    // The sub-request every shard derives from: same sweep, same eval
+    // knobs (sweep_request_json serializes the ones that travel),
+    // bit-exact streamed points, no export.
     serve::SweepRequest proto;
     proto.spec = spec;
-    proto.eval.seed = eval.seed;
-    proto.eval.samples = eval.samples;
-    proto.eval.exhaustive_max_width = eval.exhaustive_max_width;
-    proto.eval.distribution = eval.distribution;
-    proto.eval.evaluate_hardware = eval.evaluate_hardware;
-    proto.eval.use_hw_cache = eval.use_hw_cache;
+    proto.eval = eval;
     proto.stream_points = true;
     proto.export_json = false;
     proto.point_bits = true;
@@ -300,7 +287,18 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
                 if (link.fd >= 0) {
                     dispatched = true;
                     obs::ScopedSpan dispatch_span(rec, eval.trace, "shard_dispatch");
-                    outcome = run_shard(link, shard_index, dispatch_span.context());
+                    try {
+                        outcome = run_shard(link, shard_index, dispatch_span.context());
+                    } catch (...) {
+                        // What run_shard throws comes from the on_point
+                        // hook (through merger.add): keep the first, stop
+                        // the sweep and rethrow it from distributed_sweep,
+                        // as evaluate_sweep does.
+                        std::lock_guard<std::mutex> lock(d.m);
+                        if (!d.error) d.error = std::current_exception();
+                        d.abort = true;
+                        outcome = WorkerLink::Read::kAborted;
+                    }
                 }
                 const double busy =
                     std::chrono::duration<double>(Clock::now() - s0).count();
@@ -376,6 +374,10 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
         run_counters.local_shards = d.local.size();
         if (counters != nullptr) *counters = run_counters;
     };
+    if (d.error) {
+        publish_counters();
+        std::rethrow_exception(d.error);
+    }
     if (d.cancel_hit) {
         publish_counters();
         throw SweepCancelled();
@@ -387,18 +389,12 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
 
     // Local fallback, ascending so the merger keeps streaming a contiguous
     // prefix. Runs through the same evaluate_sweep as any worker — same
-    // bytes no matter who computes a point — on the caller's pool and
-    // resident cache, honoring cancel/deadline like the dispatch did.
+    // bytes no matter who computes a point — on the caller's pool (or a
+    // sweep-local one) and resident cache, honoring cancel/deadline like
+    // the dispatch did.
     std::sort(d.local.begin(), d.local.end());
-    std::optional<ThreadPool> fallback_pool;
-    ThreadPool* pool = eval.pool;
-    if (pool == nullptr && !d.local.empty()) {
-        fallback_pool.emplace(eval.threads);
-        pool = &*fallback_pool;
-    }
     for (const size_t shard_index : d.local) {
         EvalOptions local = eval;
-        local.pool = pool;
         local.shard_lo = plan[shard_index].lo;
         local.shard_hi = plan[shard_index].hi;
         local.on_point = [&merger](size_t index, const DesignPoint& point) {
@@ -424,18 +420,9 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
     merge_span.stop();
 
     if (stats != nullptr) {
-        *stats = SweepStats{};
-        stats->points = hi - lo;
-        stats->hw_cache_enabled = eval.use_hw_cache;
-        // Engine tallies are a pure replay of select_error_engine over the
-        // shard range with the wire-level options, so the coordinator's
-        // summary matches what a single node evaluating the same range
-        // would report — byte-identical exports either way.
-        stats->engines = tally_error_engines(
-            std::vector<MultiplierConfig>(configs.begin() + static_cast<ptrdiff_t>(lo),
-                                          configs.begin() + static_cast<ptrdiff_t>(hi)),
-            eval);
-        stats->cutoff_desc = describe_exhaustive_cutoffs(eval);
+        // The summary a single node evaluating the same range reports, so
+        // exports are byte-identical either way.
+        *stats = pure_sweep_stats(configs, eval);
         stats->wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
     }
     return merger.take();
@@ -459,54 +446,6 @@ ClusterOptions cluster_options_from(const CommandLine& cli) {
     cluster.shard_timeout_ms = cli.get_int("--shard-timeout-ms", cluster.shard_timeout_ms, 0);
     cluster.shard_retries = cli.get_int("--shard-retries", cluster.shard_retries, 0);
     return cluster;
-}
-
-CoordinatorService::CoordinatorService(const serve::ServiceOptions& opts, ClusterOptions cluster)
-    : SweepService(opts), cluster_(std::move(cluster)) {
-    if (cluster_.workers.empty()) {
-        throw std::invalid_argument("cluster: at least one worker is required");
-    }
-    if (cluster_.shards == 0) throw std::invalid_argument("cluster: shard count must be >= 1");
-    for (const std::string& spec : cluster_.workers) {
-        serve::SocketEndpoint addr;
-        std::string err;
-        if (!serve::parse_endpoint(spec, addr, &err)) {
-            throw std::invalid_argument("cluster: bad worker spec \"" + spec + "\": " + err);
-        }
-    }
-    totals_.enabled = true;
-    totals_.shards = cluster_.shards;
-    totals_.workers.resize(cluster_.workers.size());
-    for (size_t i = 0; i < cluster_.workers.size(); ++i) {
-        totals_.workers[i].spec = cluster_.workers[i];
-    }
-}
-
-CoordinatorService::~CoordinatorService() { shutdown(); }
-
-serve::ServiceStats CoordinatorService::stats() const {
-    serve::ServiceStats out = SweepService::stats();
-    std::lock_guard<std::mutex> lock(cluster_mutex_);
-    out.cluster = totals_;
-    return out;
-}
-
-std::vector<DesignPoint> CoordinatorService::evaluate(const serve::SweepRequest& request,
-                                                      EvalOptions& eval, SweepStats& stats) {
-    serve::ClusterCounters delta;
-    const auto merge = [&] {
-        std::lock_guard<std::mutex> lock(cluster_mutex_);
-        totals_.add(delta);
-    };
-    try {
-        std::vector<DesignPoint> points =
-            distributed_sweep(request.spec, eval, cluster_, &stats, &delta);
-        merge();
-        return points;
-    } catch (...) {
-        merge();  // dispatch/retry counts of a failed sweep stay visible
-        throw;
-    }
 }
 
 }  // namespace sdlc::cluster

@@ -5,10 +5,11 @@
 // (shard_plan.h) — independent of how many workers are alive — and fans
 // them out to peer replicas as ordinary NDJSON sweep requests restricted
 // by {"shard": {lo, hi}} with "point_bits" set, so every point comes back
-// bit-exact. A ShardMerger re-serializes completed points into the global
-// enumeration order, which makes the merged stream — and therefore the
-// final export — byte-identical to a single-node run at any shard count,
-// worker count, or failure pattern.
+// bit-exact. The points stream through the ShardMerger evaluate_sweep
+// collects its own points with, and the range check and request-pure
+// stats are evaluate_sweep's too, so the merged stream — and therefore the
+// final export — is byte-identical to a single-node run at any shard
+// count, worker count, or failure pattern.
 //
 // Degradation is part of the contract, not an error path: a worker that
 // dies, stalls past the silence budget, or answers with anything other
@@ -17,17 +18,19 @@
 // its remote attempts (or outlives the last worker) is executed locally
 // through the very same evaluate_sweep the workers run, so the output
 // bytes never depend on who computed a point.
+//
+// serve::SweepService runs its sweeps through distributed_sweep when its
+// ServiceOptions name workers (serve_tool --workers), and dse_tool
+// --workers calls it directly.
 #ifndef SDLC_CLUSTER_COORDINATOR_H
 #define SDLC_CLUSTER_COORDINATOR_H
 
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "dse/evaluator.h"
 #include "dse/sweep.h"
 #include "serve/protocol.h"
-#include "serve/service.h"
 #include "util/cli.h"
 
 namespace sdlc::cluster {
@@ -60,43 +63,24 @@ struct ClusterOptions {
 /// range, or a shard option without --workers, which would do nothing.
 [[nodiscard]] ClusterOptions cluster_options_from(const CommandLine& cli);
 
-/// Runs `spec` distributed over `opts.workers`, honoring `eval`'s cancel /
-/// deadline / on_point / shard range exactly like evaluate_sweep — global
-/// enumeration indices, in-order streaming, strict-prefix partial streams
-/// — and returns the merged points. `counters` (when non-null) receives
-/// this sweep's per-worker dispatch/completion/retry/bytes/latency deltas.
-/// `stats` (when non-null) receives the same request-pure bookkeeping a
-/// single-node evaluate_sweep of the range reports. Throws SweepCancelled,
-/// SweepDeadlineExceeded, std::invalid_argument like evaluate_sweep.
+/// Runs `spec` distributed over `opts.workers` and returns the merged
+/// points. Honors `eval`'s cancel, deadline, on_point and shard range
+/// exactly like evaluate_sweep: global enumeration indices, in-order
+/// streaming, strict-prefix partial streams, and an exception thrown by
+/// on_point aborts the sweep and propagates out of this call. The
+/// sub-requests carry `eval`'s serializable knobs (sweep_request_json
+/// decides which). `counters` (when non-null) receives this sweep's
+/// per-worker dispatch/completion/retry/bytes/latency deltas, also when
+/// the sweep fails once dispatch has begun. `stats` (when non-null)
+/// receives the same request-pure bookkeeping a single-node evaluate_sweep
+/// of the range reports (pure_sweep_stats).
+/// Throws std::invalid_argument on an empty worker list, a malformed worker
+/// spec, a zero shard count or a bad shard range, and SweepCancelled or
+/// SweepDeadlineExceeded like evaluate_sweep.
 std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOptions& eval,
                                            const ClusterOptions& opts,
                                            SweepStats* stats = nullptr,
                                            serve::ClusterCounters* counters = nullptr);
-
-/// A SweepService whose sweeps run distributed: the protocol, queueing,
-/// cancellation, deadlines and event emission are all inherited — only the
-/// evaluate() hook changes, which is what keeps a coordinator's event
-/// stream byte-identical to a single replica's. Control requests (stats,
-/// metrics, cancel, shutdown) behave exactly as on a plain service, with
-/// the cluster counters folded into stats() and the Prometheus scrape.
-class CoordinatorService final : public serve::SweepService {
-public:
-    /// Throws std::invalid_argument on an empty worker list, a malformed
-    /// worker spec, or a zero shard count.
-    CoordinatorService(const serve::ServiceOptions& opts, ClusterOptions cluster);
-    ~CoordinatorService() override;
-
-    [[nodiscard]] serve::ServiceStats stats() const override;
-
-protected:
-    std::vector<DesignPoint> evaluate(const serve::SweepRequest& request, EvalOptions& eval,
-                                      SweepStats& stats) override;
-
-private:
-    const ClusterOptions cluster_;
-    mutable std::mutex cluster_mutex_;
-    serve::ClusterCounters totals_;
-};
 
 }  // namespace sdlc::cluster
 

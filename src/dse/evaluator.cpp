@@ -1,18 +1,16 @@
 #include "dse/evaluator.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
 
-#include <algorithm>
-#include <cstring>
-
 #include "api/approx_multiplier.h"
-#include "core/kernels.h"
 #include "core/kernels_sampled.h"
 #include "core/kernels_sliced.h"
+#include "dse/shard_merge.h"
 #include "error/evaluate_sliced.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -131,6 +129,26 @@ ErrorEngineTally tally_error_engines(const std::vector<MultiplierConfig>& config
     return t;
 }
 
+std::pair<size_t, size_t> sweep_shard_range(const EvalOptions& opts, size_t count) {
+    if (opts.shard_lo == 0 && opts.shard_hi == 0) return {0, count};
+    if (opts.shard_lo >= opts.shard_hi || opts.shard_hi > count) {
+        throw std::invalid_argument("sweep shard range [" + std::to_string(opts.shard_lo) +
+                                    ", " + std::to_string(opts.shard_hi) +
+                                    ") is invalid for " + std::to_string(count) + " points");
+    }
+    return {opts.shard_lo, opts.shard_hi};
+}
+
+SweepStats pure_sweep_stats(const std::vector<MultiplierConfig>& configs,
+                            const EvalOptions& opts) {
+    SweepStats stats;
+    stats.points = configs.size();
+    stats.hw_cache_enabled = opts.use_hw_cache;
+    stats.engines = tally_error_engines(configs, opts);
+    stats.cutoff_desc = describe_exhaustive_cutoffs(opts);
+    return stats;
+}
+
 const char* operand_distribution_name(OperandDistribution d) noexcept {
     switch (d) {
         case OperandDistribution::kUniform: return "uniform";
@@ -154,16 +172,19 @@ std::string DesignPoint::describe() const {
 
 namespace {
 
-/// Error step: one configuration's metrics. An exact kernel (the accurate
-/// variant, depth-1 compression) compares a*b against a*b, so it returns
-/// what the accumulator finalizes for an all-exact stream without running
-/// an engine: every metric zero, `samples` pairs counted. evaluate_sweep
-/// calls it for every group it does not split into shard-group tasks. No
-/// result when `stop` fired inside the exhaustive or the sampled engine.
+/// Error step: one configuration's metrics. An exact configuration (the
+/// accurate variant or depth-1 compression, at width 2-32) compares a*b
+/// against a*b, so it returns what the accumulator finalizes for an
+/// all-exact stream without running an engine: every metric zero,
+/// `samples` pairs counted. evaluate_sweep calls it for every group it does
+/// not split into shard-group tasks. No result when `stop` fired inside the
+/// exhaustive or the sampled engine.
 std::optional<ErrorMetrics> evaluate_error(const MultiplierConfig& config,
                                            const EvalOptions& opts, const EvalStop& stop) {
     const ErrorEngine engine = select_error_engine(config, opts);
-    if (std::strcmp(multiply_kernel_name(config), "accurate") == 0) {
+    const bool exact = config.width >= 2 && config.width <= 32 &&
+                       (config.variant == MultiplierVariant::kAccurate || config.depth == 1);
+    if (exact) {
         ErrorMetrics exact;
         const uint64_t side = uint64_t{1} << config.width;
         exact.samples = engine == ErrorEngine::kSampled ? opts.samples : side * side;
@@ -213,21 +234,10 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
     obs::ScopedSpan enumerate_span(opts.recorder, opts.trace, "enumerate");
     std::vector<MultiplierConfig> configs = spec.enumerate();
     enumerate_span.stop();
-    // Shard restriction: keep only [shard_lo, shard_hi), remembering the
-    // offset so on_point still reports global enumeration indices.
-    size_t base = 0;
-    if (opts.shard_lo != 0 || opts.shard_hi != 0) {
-        if (opts.shard_lo >= opts.shard_hi || opts.shard_hi > configs.size()) {
-            throw std::invalid_argument(
-                "sweep shard range [" + std::to_string(opts.shard_lo) + ", " +
-                std::to_string(opts.shard_hi) + ") is invalid for " +
-                std::to_string(configs.size()) + " points");
-        }
-        configs = std::vector<MultiplierConfig>(configs.begin() + opts.shard_lo,
-                                                configs.begin() + opts.shard_hi);
-        base = opts.shard_lo;
-    }
-    std::vector<DesignPoint> points(configs.size());
+    // Shard restriction: keep only [lo, hi); the merger still reports
+    // global enumeration indices.
+    const auto [lo, hi] = sweep_shard_range(opts, configs.size());
+    configs = std::vector<MultiplierConfig>(configs.begin() + lo, configs.begin() + hi);
 
     // Resolve the cache: caller-provided, sweep-local, or none.
     CostCache local_cache;
@@ -287,13 +297,9 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
         for (unsigned part = 0; part < parts; ++part) tasks.emplace_back(g, part);
     }
 
-    // Ordered streaming: a worker finishing point i marks it ready, then
-    // drains the contiguous ready prefix. Exactly one worker holds the
-    // emission lock at a time, so on_point sees points strictly in
+    // Ordered streaming and collection: on_point sees points strictly in
     // enumeration order regardless of completion order.
-    std::mutex emit_mutex;
-    size_t next_emit = 0;
-    std::vector<uint8_t> ready(configs.size(), 0);
+    ShardMerger merger(lo, hi, opts.on_point);
 
     // Checked before every task and point and, through the exhaustive and
     // sampled engines, inside one.
@@ -336,33 +342,23 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
                 error = *evaluated;
                 error_evaluations.fetch_add(1, std::memory_order_relaxed);
             }
-            points[i].config = configs[i];
-            points[i].error = error;
+            DesignPoint point;
+            point.config = configs[i];
+            point.error = error;
             if (point_opts.evaluate_hardware) {
-                points[i].hw = evaluate_hardware(configs[i], point_opts);
+                point.hw = evaluate_hardware(configs[i], point_opts);
             }
-            if (opts.on_point) {
-                std::lock_guard<std::mutex> lock(emit_mutex);
-                ready[i] = 1;
-                while (next_emit < ready.size() && ready[next_emit] != 0) {
-                    opts.on_point(base + next_emit, points[next_emit]);
-                    ++next_emit;
-                }
-            }
+            merger.add(lo + i, point);
         }
     });
 
     if (stats != nullptr) {
-        *stats = SweepStats{};
-        stats->points = points.size();
-        stats->hw_cache_enabled = point_opts.hw_cache != nullptr;
-        stats->engines = tally_error_engines(configs, point_opts);
-        stats->cutoff_desc = describe_exhaustive_cutoffs(point_opts);
+        *stats = pure_sweep_stats(configs, opts);
         stats->error_evaluations = error_evaluations.load(std::memory_order_relaxed);
         stats->wall_seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     }
-    return points;
+    return merger.take();
 }
 
 std::vector<ObjectiveVector> objective_matrix(const std::vector<DesignPoint>& points,

@@ -40,6 +40,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/kernels_sampled.h"
@@ -112,10 +113,12 @@ struct EvalOptions {
     /// threads (`threads` is then ignored).
     ThreadPool* pool = nullptr;
     /// Streaming hook: called once per design point, in enumeration order
-    /// (point i is reported only once every point j < i has been reported),
-    /// from whichever worker thread completes the emission frontier. Calls
-    /// are serialized under an internal lock. An exception thrown by the
-    /// hook aborts the sweep and propagates out of evaluate_sweep.
+    /// (point i is reported only once every point j < i has been reported).
+    /// Points stream through a ShardMerger (dse/shard_merge.h), the merge a
+    /// distributed sweep streams its replicas' points through too: the
+    /// thread whose point completes the ready prefix reports it, under the
+    /// merger's lock. An exception thrown by the hook ends the stream,
+    /// aborts the sweep and propagates out of evaluate_sweep.
     std::function<void(size_t index, const DesignPoint& point)> on_point;
     /// Cooperative cancellation: when non-null and set, workers stop
     /// claiming points and evaluate_sweep throws SweepCancelled.
@@ -139,7 +142,7 @@ struct EvalOptions {
     /// the shard's points, so sharding changes which points are evaluated,
     /// never what any point's value or index is. A range with
     /// shard_lo >= shard_hi or shard_hi > count() throws
-    /// std::invalid_argument.
+    /// std::invalid_argument (see sweep_shard_range).
     size_t shard_lo = 0;
     size_t shard_hi = 0;
     /// Optional tracing (see obs/trace.h): with a non-null recorder and a
@@ -205,7 +208,7 @@ struct ErrorEngineTally {
 struct SweepStats {
     size_t points = 0;              ///< evaluated design points
     double wall_seconds = 0.0;      ///< end-to-end sweep wall time
-    bool hw_cache_enabled = false;  ///< cache active for this sweep
+    bool hw_cache_enabled = false;  ///< EvalOptions::use_hw_cache of the sweep
     /// Which error engine evaluated how many points, and the cutoff policy
     /// that decided it. Pure replay of select_error_engine over the sweep's
     /// configs (deterministic; safe for the JSON export summary).
@@ -216,6 +219,22 @@ struct SweepStats {
     /// Deterministic for a completed sweep.
     size_t error_evaluations = 0;
 };
+
+/// The enumeration indices [lo, hi) a sweep of `count` points covers under
+/// opts' shard restriction: [0, count) when shard_lo and shard_hi are both
+/// zero. Throws std::invalid_argument for shard_lo >= shard_hi or
+/// shard_hi > count. evaluate_sweep and cluster::distributed_sweep both
+/// cut their range here.
+[[nodiscard]] std::pair<size_t, size_t> sweep_shard_range(const EvalOptions& opts,
+                                                          size_t count);
+
+/// The request-pure part of SweepStats for a sweep of `configs` (its
+/// points, shard-restricted) under `opts`: the point count,
+/// hw_cache_enabled, the engine tally and the cutoff. evaluate_sweep adds
+/// its error evaluations and wall time, cluster::distributed_sweep its
+/// wall time, so both report the same bookkeeping for the same request.
+[[nodiscard]] SweepStats pure_sweep_stats(const std::vector<MultiplierConfig>& configs,
+                                          const EvalOptions& opts);
 
 /// One fully evaluated configuration.
 struct DesignPoint {
@@ -268,7 +287,8 @@ struct DesignPoint {
     OperandDistribution dist, const EvalStop& stop = {});
 
 /// Evaluates every point of the sweep in parallel, one error evaluation per
-/// error function (see the file comment). The result order matches
+/// error function (see the file comment), and collects the points through a
+/// ShardMerger over the sweep's range. The result order matches
 /// SweepSpec::enumerate() and the values are bit-identical to evaluate_point
 /// on each config, for any opts.threads, shard range or hardware cache.
 /// When `stats` is non-null it receives the sweep's wall time and

@@ -25,11 +25,15 @@ void ShardMerger::add(size_t index, const DesignPoint& point) {
     present_[slot] = 1;
     points_[slot] = point;
     ++merged_;
-    if (emit_) {
+    if (!emit_ || emit_failed_) return;
+    try {
         while (next_emit_ < hi_ && present_[next_emit_ - lo_] != 0) {
             emit_(next_emit_, points_[next_emit_ - lo_]);
             ++next_emit_;
         }
+    } catch (...) {
+        emit_failed_ = true;
+        throw;
     }
 }
 

@@ -672,8 +672,7 @@ void serve_http_listener(SocketListener& listener, SweepService& service,
         listener, service,
         [door](int fd, const std::shared_ptr<FdSink>& sink) {
             handle_http_connection(door, fd, sink);
-        },
-        options.install_shutdown_hook);
+        });
 }
 
 // ------------------------------------------------------------ http client ----

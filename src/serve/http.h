@@ -79,15 +79,13 @@ struct HttpOptions {
     /// When set, one structured JSON line per HTTP request lands here
     /// (method, path, status, peer, outcome, bytes_out).
     std::shared_ptr<obs::AccessLog> access_log;
-    /// Install the service's on_shutdown hook to close the listener. A
-    /// tool running the HTTP listener beside a line listener installs one
-    /// combined hook itself and passes false here and to serve_listener.
-    bool install_shutdown_hook = true;
 };
 
 /// Serves HTTP/1.1 on `listener` until the service shuts down. Same
 /// blocking lifecycle contract as serve_listener(): returns only once
-/// every accepted connection is drained and joined.
+/// every accepted connection is drained and joined. Its shutdown hook
+/// closes only this listener, so it runs beside line listeners of the same
+/// service and one shutdown ends them all.
 void serve_http_listener(SocketListener& listener, SweepService& service,
                          const HttpOptions& options);
 

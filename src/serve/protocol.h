@@ -237,9 +237,9 @@ struct ServiceStats {
 
 /// Emits the deterministic post-evaluation tail of a sweep's event stream
 /// — summary, then (when requested) the result event or result_chunk
-/// stream — exactly as SweepService does. Shared with the cluster
-/// coordinator so a coordinated sweep's bytes cannot drift from a
-/// single-node one's. A non-null `recorder` (traced requests only) records
+/// stream — for every SweepService sweep, local or distributed, so a
+/// coordinated sweep's bytes cannot drift from a single-node one's. A
+/// non-null `recorder` (traced requests only) records
 /// `pareto_rank` and `serialize` spans under the request's trace context;
 /// the emitted bytes are identical either way.
 void emit_sweep_results(ResponseSink& sink, const SweepRequest& request,

@@ -45,8 +45,17 @@ constexpr uint64_t kServeSalt = 0x7365727665ULL;  // "serve"
 }  // namespace
 
 SweepService::SweepService(const ServiceOptions& opts)
-    : opts_(opts), traces_(opts.trace_capacity), pool_(opts.eval_threads),
+    : opts_(opts), traces_(kTraceCapacity), pool_(opts.eval_threads),
       queue_(opts.queue_capacity) {
+    if (!opts_.cluster.workers.empty()) {
+        // The cluster section reads the same before the first sweep as
+        // after: enabled, the shard count, one row per configured worker.
+        counters_.cluster.enabled = true;
+        counters_.cluster.shards = opts_.cluster.shards;
+        for (const std::string& spec : opts_.cluster.workers) {
+            counters_.cluster.workers.push_back({spec});
+        }
+    }
     const unsigned workers = opts_.request_workers == 0 ? 1 : opts_.request_workers;
     workers_.reserve(workers);
     for (unsigned i = 0; i < workers; ++i) {
@@ -209,15 +218,17 @@ void SweepService::handle_cancel(const SweepRequest& request, ResponseSink& sink
 }
 
 void SweepService::request_shutdown() {
-    std::function<void()> hook;
+    std::vector<std::function<void()>> hooks;
     {
         std::lock_guard<std::mutex> lock(state_mutex_);
         if (shutdown_requested_) return;
         shutdown_requested_ = true;
-        hook = on_shutdown_;
+        hooks.swap(on_shutdown_);
     }
     queue_.close();
-    if (hook) hook();
+    for (const std::function<void()>& hook : hooks) {
+        if (hook) hook();
+    }
 }
 
 void SweepService::shutdown() {
@@ -235,17 +246,17 @@ bool SweepService::shutdown_requested() const {
     return shutdown_requested_;
 }
 
-void SweepService::set_on_shutdown(std::function<void()> hook) {
+void SweepService::add_on_shutdown(std::function<void()> hook) {
     {
         std::lock_guard<std::mutex> lock(state_mutex_);
         if (!shutdown_requested_) {
-            on_shutdown_ = std::move(hook);
+            on_shutdown_.push_back(std::move(hook));
             return;
         }
     }
-    // Shutdown was requested before the front-end got to install its
-    // hook (a listener thread that starts late): fire it now, or the
-    // accept loop it unblocks would never end.
+    // Shutdown was requested before the front-end got to add its hook (a
+    // listener thread that starts late): fire it now, or the accept loop
+    // it unblocks would never end.
     if (hook) hook();
 }
 
@@ -326,11 +337,6 @@ void SweepService::process(Job& job) {
     }
 }
 
-std::vector<DesignPoint> SweepService::evaluate(const SweepRequest& request, EvalOptions& eval,
-                                                SweepStats& stats) {
-    return evaluate_sweep(request.spec, eval, &stats);
-}
-
 void SweepService::run_sweep(const Job& job, double queue_wait_s) {
     const SweepRequest& request = job.request;
     CountingSink sink(*job.sink);
@@ -401,7 +407,24 @@ void SweepService::run_sweep(const Job& job, double queue_wait_s) {
 
         SweepStats sweep_stats;
         const auto eval_start = std::chrono::steady_clock::now();
-        const std::vector<DesignPoint> points = evaluate(request, eval, sweep_stats);
+        std::vector<DesignPoint> points;
+        if (opts_.cluster.workers.empty()) {
+            points = evaluate_sweep(request.spec, eval, &sweep_stats);
+        } else {
+            ClusterCounters delta;
+            const auto fold = [&] {
+                std::lock_guard<std::mutex> lock(state_mutex_);
+                counters_.cluster.add(delta);
+            };
+            try {
+                points = cluster::distributed_sweep(request.spec, eval, opts_.cluster,
+                                                    &sweep_stats, &delta);
+            } catch (...) {
+                fold();  // dispatch/retry counts of a failed sweep stay visible
+                throw;
+            }
+            fold();
+        }
         evaluate_s = seconds_since(eval_start);
         const auto serialize_start = std::chrono::steady_clock::now();
         emit_sweep_results(sink, request, points, sweep_stats, rec);

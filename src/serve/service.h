@@ -10,6 +10,13 @@
 // service worth keeping resident: the second identical request skips
 // synthesis entirely (nonzero hit counters, visible via `stats`).
 //
+// With workers in ServiceOptions::cluster the service is a cluster
+// coordinator: each sweep runs through cluster::distributed_sweep across
+// the replicas instead of evaluate_sweep here, and everything around it —
+// protocol, queueing, cancellation, deadlines, event emission — is the
+// same code, so its event stream is byte-identical to a single replica's.
+// Its cluster counters show in `stats` and the Prometheus scrape.
+//
 // Determinism: a sweep's event stream (accepted, point 0..n-1, summary,
 // [result], done) is byte-identical for a fixed request, whatever the
 // cache holds, at any pool size and any request concurrency — events
@@ -18,9 +25,9 @@
 // granularity but each request's own subsequence never changes.
 //
 // Shutdown is drain-based: a shutdown request (or request_shutdown())
-// closes the queue so no new work is accepted, every already-queued
-// request still runs to completion, and shutdown() joins the workers once
-// the queue is empty.
+// closes the queue so no new work is accepted, fires every shutdown hook
+// (one per front-end listener), every already-queued request still runs
+// to completion, and shutdown() joins the workers once the queue is empty.
 #ifndef SDLC_SERVE_SERVICE_H
 #define SDLC_SERVE_SERVICE_H
 
@@ -35,6 +42,7 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/coordinator.h"
 #include "dse/cost_cache.h"
 #include "obs/access_log.h"
 #include "obs/trace.h"
@@ -62,21 +70,20 @@ struct ServiceOptions {
     /// When set, one structured JSON line per request lands here (trace_id,
     /// verb, outcome, queue_wait_s, wall_s, bytes_out, shed/deadline flags).
     std::shared_ptr<obs::AccessLog> access_log;
-    /// Completed traced-request trees retained for the `trace` verb and
-    /// --trace-out.
-    size_t trace_capacity = 64;
+    /// Sweep fan-out (serve_tool --workers). An empty worker list (the
+    /// default) evaluates every sweep here; otherwise each sweep runs
+    /// through cluster::distributed_sweep with these options, which
+    /// validates them per sweep.
+    cluster::ClusterOptions cluster;
 };
 
-/// The long-lived sweep service (see file comment). Derivable: a subclass
-/// can swap the evaluation engine (see the protected evaluate() hook) while
-/// inheriting the queue, cancellation, deadline, stats and event-emission
-/// machinery — cluster::CoordinatorService distributes sweeps this way.
+/// The long-lived sweep service (see file comment).
 class SweepService {
 public:
     explicit SweepService(const ServiceOptions& opts = {});
 
     /// Drains and joins (equivalent to shutdown()).
-    virtual ~SweepService();
+    ~SweepService();
 
     SweepService(const SweepService&) = delete;
     SweepService& operator=(const SweepService&) = delete;
@@ -106,32 +113,24 @@ public:
     /// called.
     [[nodiscard]] bool shutdown_requested() const;
 
-    /// Invoked exactly once when shutdown is first requested — a transport
-    /// front-end hooks this to unblock its accept/read loop — or at once
-    /// when shutdown was requested before the hook was set. Set before
-    /// the first request is submitted.
-    void set_on_shutdown(std::function<void()> hook);
+    /// Adds a hook invoked exactly once when shutdown is first requested —
+    /// each transport front-end adds one to unblock its accept/read loop,
+    /// so one service can serve several listeners — or at once when
+    /// shutdown was requested before the hook was added.
+    void add_on_shutdown(std::function<void()> hook);
 
     /// Momentary aggregate counters (what the `stats` request reports).
-    [[nodiscard]] virtual ServiceStats stats() const;
+    [[nodiscard]] ServiceStats stats() const;
 
-    /// The last trace_capacity completed traced-request trees (what the
+    /// The last kTraceCapacity completed traced-request trees (what the
     /// `trace` request verb returns; tools drain this into --trace-out).
     [[nodiscard]] std::vector<obs::TraceTree> trace_trees() const { return traces_.snapshot(); }
 
-protected:
-    /// Evaluates one accepted sweep request. `eval` arrives fully wired —
-    /// shared pool, resident cache, cancel flag,
-    /// deadline, and the ordered on_point stream — so an override only
-    /// decides *where* the points are computed. Everything around the call
-    /// (accepted/summary/result/error/done emission, counters, latency) is
-    /// shared, which is what keeps a derived service's event stream
-    /// byte-identical to this one's. Throws like evaluate_sweep
-    /// (SweepCancelled, SweepDeadlineExceeded, std::invalid_argument).
-    virtual std::vector<DesignPoint> evaluate(const SweepRequest& request, EvalOptions& eval,
-                                              SweepStats& stats);
-
 private:
+    /// Completed traced-request trees retained for the `trace` verb and
+    /// --trace-out.
+    static constexpr size_t kTraceCapacity = 64;
+
     struct Job {
         SweepRequest request;
         std::shared_ptr<ResponseSink> sink;
@@ -172,7 +171,7 @@ private:
     std::map<std::string, std::shared_ptr<std::atomic<bool>>> cancel_flags_;
     ServiceStats counters_;  ///< queue_depth/in_flight filled in stats()
     size_t in_flight_ = 0;
-    std::function<void()> on_shutdown_;
+    std::vector<std::function<void()>> on_shutdown_;
     bool shutdown_requested_ = false;
     bool joined_ = false;
 

@@ -13,11 +13,9 @@
 namespace sdlc::serve {
 
 void serve_connection_loop(SocketListener& listener, SweepService& service,
-                           const ConnectionHandler& handler, bool install_shutdown_hook) {
+                           const ConnectionHandler& handler) {
     // A processed shutdown request must unblock the accept loop below.
-    if (install_shutdown_hook) {
-        service.set_on_shutdown([&listener] { listener.close(); });
-    }
+    service.add_on_shutdown([&listener] { listener.close(); });
 
     struct Connection {
         int fd;
@@ -69,8 +67,7 @@ void serve_connection_loop(SocketListener& listener, SweepService& service,
     connections.clear();
 }
 
-void serve_listener(SocketListener& listener, SweepService& service, size_t max_request_bytes,
-                    bool install_shutdown_hook) {
+void serve_listener(SocketListener& listener, SweepService& service, size_t max_request_bytes) {
     serve_connection_loop(
         listener, service,
         [&service, max_line = max_request_bytes + 1](int fd,
@@ -86,8 +83,7 @@ void serve_listener(SocketListener& listener, SweepService& service, size_t max_
                 // oversized lines even when no newline ever arrives.
                 service.reject_oversized_line(*sink);
             }
-        },
-        install_shutdown_hook);
+        });
 }
 
 }  // namespace sdlc::serve

@@ -1,9 +1,10 @@
 // Tests for the cluster sweep coordinator: deterministic shard planning,
 // the in-order shard merge (shuffled, interleaved, duplicated and partial
 // streams), bit-exact point wire round trips, the evaluator's shard-range
-// restriction, the shard sub-request serializer, and distributed_sweep /
-// CoordinatorService end to end against in-process worker replicas —
-// including dead-worker local fallback and retry accounting.
+// restriction, the shard sub-request serializer, and distributed_sweep and
+// a SweepService with workers configured (a coordinator) end to end
+// against in-process worker replicas — including dead-worker local
+// fallback, retry accounting and a throwing on_point hook.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -12,6 +13,7 @@
 #include <memory>
 #include <mutex>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -471,6 +473,34 @@ TEST(DistributedSweepTest, CancelAborts) {
     EXPECT_THROW(distributed_sweep(spec, eval, cluster), SweepCancelled);
 }
 
+TEST(DistributedSweepTest, ThrowingHookPropagatesLikeEvaluateSweep) {
+    // evaluate_sweep rethrows what on_point throws. A distributed sweep
+    // calls the same hook on a dispatch thread and must rethrow it from
+    // distributed_sweep too, with the points before it streamed in order
+    // and the counters published.
+    Worker w1;
+    const SweepSpec spec = SweepSpec::for_width(6);
+    EvalOptions eval;
+    eval.threads = 2;
+    std::vector<size_t> seen;
+    eval.on_point = [&seen](size_t index, const DesignPoint&) {
+        seen.push_back(index);
+        if (index == 3) throw std::runtime_error("hook failed at 3");
+    };
+    ClusterOptions cluster;
+    cluster.workers = {w1.spec()};
+    cluster.shards = 4;
+    serve::ClusterCounters counters;
+    try {
+        (void)distributed_sweep(spec, eval, cluster, nullptr, &counters);
+        ADD_FAILURE() << "the hook's exception did not propagate";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "hook failed at 3");
+    }
+    EXPECT_EQ(seen, (std::vector<size_t>{0, 1, 2, 3}));
+    EXPECT_EQ(counters.sweeps, 1u);
+}
+
 TEST(DistributedSweepTest, RejectsBadConfiguration) {
     const SweepSpec spec;
     EvalOptions eval;
@@ -480,7 +510,7 @@ TEST(DistributedSweepTest, RejectsBadConfiguration) {
     EXPECT_THROW(distributed_sweep(spec, eval, cluster), std::invalid_argument);
 }
 
-// ----------------------------------------------------- CoordinatorService ---
+// ------------------------------------------------- clustered SweepService ---
 
 /// Collects every event line (submit_line is asynchronous; shutdown()
 /// drains the queue before the lines are read).
@@ -506,10 +536,10 @@ TEST(CoordinatorServiceTest, ExportMatchesPlainServiceByteForByte) {
 
     serve::ServiceOptions opts;
     opts.eval_threads = 2;
-    ClusterOptions cluster;
-    cluster.workers = {w1.spec(), w2.spec()};
-    cluster.shards = 4;
-    CoordinatorService coordinator(opts, cluster);
+    serve::ServiceOptions clustered = opts;
+    clustered.cluster.workers = {w1.spec(), w2.spec()};
+    clustered.cluster.shards = 4;
+    serve::SweepService coordinator(clustered);
 
     const std::string request =
         "{\"id\": \"e\", \"spec\": {\"width\": 6}, \"export\": true}";
@@ -560,10 +590,10 @@ TEST(CoordinatorServiceTest, ColdAndRepeatSweepsExportSingleNodeBytes) {
     serve::ServiceOptions opts;
     opts.eval_threads = 2;
     opts.request_workers = 1;  // the repeat runs after the cold sweep, warm
-    ClusterOptions cluster;
-    cluster.workers = {w1.spec()};
-    cluster.shards = 4;
-    CoordinatorService coordinator(opts, cluster);
+    serve::ServiceOptions clustered = opts;
+    clustered.cluster.workers = {w1.spec()};
+    clustered.cluster.shards = 4;
+    serve::SweepService coordinator(clustered);
 
     const std::string request =
         "{\"id\": \"e\", \"spec\": {\"width\": 6}, \"export\": true}";

@@ -36,6 +36,7 @@
 #include <mutex>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -555,6 +556,31 @@ TEST(GroupedSweep, CancelInsideAGroupLeavesAStrictPrefix) {
         ASSERT_EQ(streamed.size(), 2u) << "threads " << threads;
         EXPECT_EQ(streamed[0], expected[0]);
         EXPECT_EQ(streamed[1], expected[1]);
+    }
+}
+
+TEST(GroupedSweep, ThrowingHookAbortsTheSweepAndPropagates) {
+    // An exception thrown by on_point at index k leaves evaluate_sweep, and
+    // the hook has seen exactly 0..k in order: never an index twice, never
+    // one after k, though other workers keep finishing points of their
+    // groups.
+    const SweepSpec spec = SweepSpec::for_width(8);
+    constexpr size_t k = 5;  // inside the sdlc d2 group [4, 8)
+    for (const unsigned threads : {1u, 4u}) {
+        EvalOptions opts;
+        opts.threads = threads;
+        std::vector<size_t> seen;
+        opts.on_point = [&seen](size_t index, const DesignPoint&) {
+            seen.push_back(index);
+            if (index == k) throw std::runtime_error("hook failed");
+        };
+        try {
+            (void)evaluate_sweep(spec, opts);
+            ADD_FAILURE() << "threads " << threads << ": the exception did not propagate";
+        } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), "hook failed") << "threads " << threads;
+        }
+        EXPECT_EQ(seen, (std::vector<size_t>{0, 1, 2, 3, 4, 5})) << "threads " << threads;
     }
 }
 

@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <memory>
@@ -18,6 +19,7 @@
 #include "obs/access_log.h"
 #include "serve/http.h"
 #include "serve/metrics.h"
+#include "serve/protocol.h"
 #include "serve/service.h"
 #include "serve/sink.h"
 #include "serve/socket.h"
@@ -264,6 +266,73 @@ TEST(ServeHttp, ShutdownRequestInSweepBodyDrainsTheServer) {
     EXPECT_NE(response.body.find("\"id\": \"last\""), std::string::npos);
     fx.loop.join();  // the listener loop must terminate on its own
     EXPECT_TRUE(fx.service->shutdown_requested());
+}
+
+/// Sends `line` on a line-protocol connection and reads events until the
+/// request's done event (or EOF). Returns every event line read.
+std::vector<std::string> line_exchange(int fd, const std::string& line) {
+    EXPECT_TRUE(write_all(fd, line + "\n"));
+    LineReader reader(fd);
+    std::vector<std::string> events;
+    std::string event;
+    while (reader.next(event)) {
+        events.push_back(event);
+        if (event.find("\"event\": \"done\"") != std::string::npos) break;
+    }
+    return events;
+}
+
+/// One service behind a TCP line listener and an HTTP listener, both
+/// served with default arguments, as serve_tool --listen-tcp --listen-http
+/// runs it. The destructor closes both listeners, which ends a loop a
+/// shutdown missed, and joins: a failing test fails instead of hanging.
+struct DualListenerFixture {
+    SweepService service;
+    TcpSocketServer line{"127.0.0.1", 0};
+    TcpSocketServer http{"127.0.0.1", 0};
+    std::atomic<int> returned{0};  ///< serve loops that have returned
+    std::thread line_loop{[this] {
+        serve_listener(line, service, kDefaultMaxRequestBytes);
+        ++returned;
+    }};
+    std::thread http_loop{[this] {
+        serve_http_listener(http, service, HttpOptions{});
+        ++returned;
+    }};
+
+    ~DualListenerFixture() {
+        line.close();
+        http.close();
+        line_loop.join();
+        http_loop.join();
+    }
+};
+
+TEST(ServeHttp, OneShutdownEndsLineAndHttpListenersOfOneService) {
+    // Each serve loop adds its own shutdown hook, so a single shutdown line
+    // on the line socket must end both loops.
+    DualListenerFixture fx;
+    // One answered request on each listener: both loops are running.
+    HttpClientResponse response;
+    std::string error;
+    ASSERT_TRUE(http_request("127.0.0.1", fx.http.port(), "GET", "/healthz", "", "", response,
+                             &error))
+        << error;
+    EXPECT_EQ(response.status, 200);
+    const int fd = tcp_connect("127.0.0.1", fx.line.port());
+    ASSERT_GE(fd, 0);
+    const std::vector<std::string> stats =
+        line_exchange(fd, "{\"id\": \"s\", \"type\": \"stats\"}");
+    ASSERT_FALSE(stats.empty());
+    EXPECT_NE(stats.back().find("\"ok\": true"), std::string::npos) << stats.back();
+
+    (void)line_exchange(fd, "{\"id\": \"q\", \"type\": \"shutdown\"}");
+    const auto deadline = steady_clock::now() + std::chrono::seconds(10);
+    while (fx.returned.load() < 2 && steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_EQ(fx.returned.load(), 2) << "a serve loop did not return after the shutdown";
+    ::close(fd);
 }
 
 // --------------------------------------------------------------- negatives ----

@@ -132,6 +132,9 @@ ServiceOptions service_options(const CommandLine& cli) {
         opts.access_log = obs::AccessLog::open(path, &error);
         if (opts.access_log == nullptr) usage("--access-log: " + error);
     }
+    // --workers LIST (serve/socket.h endpoint grammar: unix:PATH or
+    // HOST:PORT) makes the service fan sweep shards out to those replicas.
+    opts.cluster = cluster::cluster_options_from(cli);
     return opts;
 }
 
@@ -144,15 +147,6 @@ void write_trace_out(const CommandLine& cli, const SweepService& service) {
     std::ofstream out(path, std::ios::binary);
     out << obs::chrome_trace_json(service.trace_trees());
     if (!out.flush()) std::cerr << "serve_tool: cannot write " << path << "\n";
-}
-
-/// Builds the service for a server mode: a plain SweepService, or a
-/// CoordinatorService fanning sweep shards out to --workers replicas
-/// (serve/socket.h endpoint grammar: unix:PATH or HOST:PORT).
-std::unique_ptr<SweepService> make_service(const CommandLine& cli, const ServiceOptions& opts) {
-    cluster::ClusterOptions cluster = cluster::cluster_options_from(cli);
-    if (cluster.workers.empty()) return std::make_unique<SweepService>(opts);
-    return std::make_unique<cluster::CoordinatorService>(opts, std::move(cluster));
 }
 
 /// Client/scrape destination: --socket PATH or --tcp HOST:PORT. Returns a
@@ -178,8 +172,7 @@ int connect_destination(const CommandLine& cli) {
 
 int run_stdio_server(const CommandLine& cli) {
     const ServiceOptions opts = service_options(cli);
-    const std::unique_ptr<SweepService> service_ptr = make_service(cli, opts);
-    SweepService& service = *service_ptr;
+    SweepService service(opts);
     const auto sink = std::make_shared<OstreamSink>(std::cout);
 
     // stdin is read on its own thread so a shutdown request can end the
@@ -188,7 +181,7 @@ int run_stdio_server(const CommandLine& cli) {
     std::mutex mutex;
     std::condition_variable cv;
     bool reader_done = false;
-    service.set_on_shutdown([&] {
+    service.add_on_shutdown([&] {
         std::lock_guard<std::mutex> lock(mutex);
         cv.notify_all();
     });
@@ -253,7 +246,7 @@ int run_socket_server(const CommandLine& cli) {
         http_listener = std::make_unique<TcpSocketServer>(host, port);
     }
     const ServiceOptions opts = service_options(cli);
-    const std::unique_ptr<SweepService> service = make_service(cli, opts);
+    SweepService service(opts);
 
     HttpOptions http;
     if (http_listener != nullptr) {
@@ -269,9 +262,7 @@ int run_socket_server(const CommandLine& cli) {
         http.quota_rps = cli.get_double("--quota-rps", 0.0, 0.0);
         if (cli.has("--quota-rps") && http.quota_rps == 0.0) usage("--quota-rps must be > 0");
         http.quota_burst = cli.get_double("--quota-burst", 0.0, 0.0);
-        http.metrics_fn = [&service_ref = *service] {
-            return prometheus_metrics(service_ref.stats());
-        };
+        http.metrics_fn = [&service] { return prometheus_metrics(service.stats()); };
         http.access_log = opts.access_log;
     }
 
@@ -281,26 +272,15 @@ int run_socket_server(const CommandLine& cli) {
     if (http_listener != nullptr) {
         std::cerr << "serve_tool: http listening on " << http_listener->endpoint() << "\n";
     }
-    if (line_listener != nullptr && http_listener != nullptr) {
-        // SweepService holds a single on_shutdown hook; with two listeners
-        // the tool composes one closing both (each serve loop installing
-        // its own would silently drop the other's).
-        service->set_on_shutdown([&line = *line_listener, &web = *http_listener] {
-            line.close();
-            web.close();
-        });
-        http.install_shutdown_hook = false;
-        std::thread http_thread(
-            [&] { serve_http_listener(*http_listener, *service, http); });
-        serve_listener(*line_listener, *service, opts.max_request_bytes,
-                       /*install_shutdown_hook=*/false);
-        http_thread.join();
-    } else if (http_listener != nullptr) {
-        serve_http_listener(*http_listener, *service, http);
-    } else {
-        serve_listener(*line_listener, *service, opts.max_request_bytes);
+    // Each serve loop adds its own shutdown hook, so one shutdown request
+    // on either listener ends both loops.
+    std::thread http_thread;
+    if (http_listener != nullptr) {
+        http_thread = std::thread([&] { serve_http_listener(*http_listener, service, http); });
     }
-    write_trace_out(cli, *service);
+    if (line_listener != nullptr) serve_listener(*line_listener, service, opts.max_request_bytes);
+    if (http_thread.joinable()) http_thread.join();
+    write_trace_out(cli, service);
     return 0;
 }
 
