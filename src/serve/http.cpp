@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <mutex>
 #include <utility>
 
+#include "serve/metrics.h"
 #include "serve/service.h"
 #include "serve/transport.h"
 #include "util/json.h"
@@ -100,7 +102,8 @@ public:
     }
 
     /// Drains the stream to EOF into `out` (Connection: close bodies).
-    void read_to_eof(std::string& out) {
+    /// False when a read error or timeout ends it before EOF.
+    bool read_to_eof(std::string& out) {
         out = std::move(buffer_);
         buffer_.clear();
         char chunk[4096];
@@ -108,9 +111,9 @@ public:
             const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
             if (n < 0) {
                 if (errno == EINTR) continue;
-                return;
+                return false;
             }
-            if (n == 0) return;
+            if (n == 0) return true;
             out.append(chunk, static_cast<size_t>(n));
         }
     }
@@ -356,7 +359,8 @@ struct FrontDoor {
 
     void log(const std::string& peer, const std::string& method, const std::string& path,
              int status, const char* outcome, size_t bytes_out) const {
-        if (options.access_log == nullptr) return;
+        const std::shared_ptr<obs::AccessLog>& access_log = service.options().access_log;
+        if (access_log == nullptr) return;
         std::string line = "{\"tier\": \"http\", \"peer\": " + json_string(peer);
         line += ", \"method\": " + json_string(method);
         line += ", \"path\": " + json_string(path);
@@ -364,7 +368,7 @@ struct FrontDoor {
         line += ", \"outcome\": " + json_string(outcome);
         line += ", \"bytes_out\": " + std::to_string(bytes_out);
         line += "}";
-        options.access_log->write_line(line);
+        access_log->write_line(line);
     }
 };
 
@@ -373,6 +377,8 @@ struct FrontDoor {
 void handle_http_connection(const FrontDoor& door, int fd,
                             const std::shared_ptr<FdSink>& sink) {
     const HttpOptions& opts = door.options;
+    // The service's request-size cap bounds a body like a request line.
+    const size_t body_cap = door.service.options().max_request_bytes;
     const std::string peer = peer_address(fd);
     ByteReader reader(fd);
 
@@ -390,7 +396,7 @@ void handle_http_connection(const FrontDoor& door, int fd,
     bool keep_alive = true;
     while (keep_alive) {
         size_t head_end = 0;
-        switch (reader.read_head(opts.max_header_bytes, head_end)) {
+        switch (reader.read_head(kMaxHttpHeadBytes, head_end)) {
             case ByteReader::HeadStatus::kOk:
                 break;
             case ByteReader::HeadStatus::kEof:
@@ -398,7 +404,7 @@ void handle_http_connection(const FrontDoor& door, int fd,
             case ByteReader::HeadStatus::kOverflow:
                 respond(431, "", "", "headers_too_large",
                         error_body(431, "request head exceeds " +
-                                            std::to_string(opts.max_header_bytes) + " bytes"),
+                                            std::to_string(kMaxHttpHeadBytes) + " bytes"),
                         false);
                 return;
             case ByteReader::HeadStatus::kError:
@@ -436,10 +442,9 @@ void handle_http_connection(const FrontDoor& door, int fd,
                 return;
             }
         }
-        if (content_length > opts.max_body_bytes) {
+        if (content_length > body_cap) {
             respond(413, head.method, head.target, "body_too_large",
-                    error_body(413, "body exceeds " + std::to_string(opts.max_body_bytes) +
-                                        " bytes"),
+                    error_body(413, "body exceeds " + std::to_string(body_cap) + " bytes"),
                     false);
             return;
         }
@@ -498,15 +503,11 @@ void handle_http_connection(const FrontDoor& door, int fd,
                                      "application/json", "Allow: GET\r\n");
                 continue;
             }
-            if (!opts.metrics_fn) {
-                keep_alive = respond(404, head.method, path, "not_found",
-                                     error_body(404, "metrics are not exposed here"),
-                                     keep_alive);
-                continue;
-            }
             keep_alive = respond(200, head.method, path, "ok",
-                                 head.method == "HEAD" ? "" : opts.metrics_fn(), keep_alive,
-                                 "text/plain; version=0.0.4; charset=utf-8");
+                                 head.method == "HEAD"
+                                     ? ""
+                                     : prometheus_metrics(door.service.stats()),
+                                 keep_alive, "text/plain; version=0.0.4; charset=utf-8");
             continue;
         }
 
@@ -691,6 +692,15 @@ bool http_request(const std::string& host, uint16_t port, const std::string& met
     } catch (const std::exception& e) {
         return fail(e.what());
     }
+    if (timeout_ms > 0) {
+        // The same budget bounds every send and read after the connect: a
+        // peer that accepts and never answers must not hang the caller.
+        timeval budget{};
+        budget.tv_sec = timeout_ms / 1000;
+        budget.tv_usec = (timeout_ms % 1000) * 1000;
+        (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &budget, sizeof budget);
+        (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &budget, sizeof budget);
+    }
 
     std::string request = method + " " + target + " HTTP/1.1\r\n";
     request += "Host: " + host + ":" + std::to_string(port) + "\r\n";
@@ -784,7 +794,7 @@ bool http_request(const std::string& host, uint16_t port, const std::string& met
             ok = false;
         }
     } else {
-        reader.read_to_eof(out.body);
+        ok = reader.read_to_eof(out.body);
     }
     ::close(fd);
     if (!ok) return fail("truncated HTTP response body");

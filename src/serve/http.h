@@ -12,9 +12,10 @@
 //                    The chunk payloads concatenated are byte-identical to
 //                    what the same requests produce over the line
 //                    transport — HTTP is framing, never content.
-//   GET  /metrics    the existing Prometheus exposition text, so a stock
-//                    Prometheus can scrape serve_tool directly (no
-//                    textfile-collector workaround).
+//   GET  /metrics    prometheus_metrics(service.stats()), the text the
+//                    `metrics` verb returns, so a stock Prometheus can
+//                    scrape serve_tool directly (no textfile-collector
+//                    workaround).
 //   GET  /healthz    200 "ok" liveness probe (always unauthenticated).
 //
 // On top of the routes sit two production controls:
@@ -30,40 +31,40 @@
 //     admitted sweep that then meets a full queue still gets the in-stream
 //     `overloaded` error event).
 //
-// Request-level failures inside an admitted sweep (bad JSON, invalid
-// spec, deadline) stay in-band as the protocol's structured error events
-// under a 200, exactly as on the line transport; HTTP status codes are
-// reserved for transport-level outcomes (bad method, oversized headers,
-// auth, quota).
+// The door is framing only: its body cap (413) is the service's
+// max_request_bytes, and its `"tier": "http"` access-log lines go to the
+// service's access_log, beside the service's own per-request lines, so
+// both front ends judge and log a request the same way. Request-level
+// failures inside an admitted sweep (bad JSON, invalid spec, deadline)
+// stay in-band as the protocol's structured error events under a 200,
+// exactly as on the line transport; HTTP status codes are reserved for
+// transport-level outcomes (bad method, oversized head or body, auth,
+// quota).
 #ifndef SDLC_SERVE_HTTP_H
 #define SDLC_SERVE_HTTP_H
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "obs/access_log.h"
 #include "serve/socket.h"
 
 namespace sdlc::serve {
 
 class SweepService;  // serve/service.h
 
-/// Front-door knobs (tool flags map onto these).
+/// Cap on the request line + headers block; beyond it the connection is
+/// answered 431 and dropped (a peer streaming header bytes forever cannot
+/// grow the buffer without limit).
+inline constexpr size_t kMaxHttpHeadBytes = 8192;
+
+/// Front-door controls (serve_tool's --auth-token-file, --quota-rps and
+/// --quota-burst). Everything else the door needs it reads from the
+/// service it serves.
 struct HttpOptions {
-    /// Cap on the request line + headers block; beyond it the connection
-    /// is answered 431 and dropped (a peer streaming header bytes forever
-    /// cannot grow the buffer without limit).
-    size_t max_header_bytes = 8192;
-    /// Cap on a request body (413 beyond it). Tools set this to their
-    /// --max-request-bytes so the HTTP and line front ends agree.
-    size_t max_body_bytes = size_t{1} << 20;
     /// Non-empty = require `Authorization: Bearer <auth_token>` on
     /// /metrics and /v1/sweep (constant-time compare, 401 on mismatch).
     std::string auth_token;
@@ -73,19 +74,14 @@ struct HttpOptions {
     /// Bucket depth: how many sweeps a client may burst above the steady
     /// rate (0 = same as quota_rps, minimum 1).
     double quota_burst = 0.0;
-    /// Renders the current Prometheus exposition text for GET /metrics.
-    /// Unset = /metrics answers 404.
-    std::function<std::string()> metrics_fn;
-    /// When set, one structured JSON line per HTTP request lands here
-    /// (method, path, status, peer, outcome, bytes_out).
-    std::shared_ptr<obs::AccessLog> access_log;
 };
 
 /// Serves HTTP/1.1 on `listener` until the service shuts down. Same
 /// blocking lifecycle contract as serve_listener(): returns only once
 /// every accepted connection is drained and joined. Its shutdown hook
 /// closes only this listener, so it runs beside line listeners of the same
-/// service and one shutdown ends them all.
+/// service and one shutdown ends them all. The body cap, the access log
+/// and the /metrics text come from `service`.
 void serve_http_listener(SocketListener& listener, SweepService& service,
                          const HttpOptions& options);
 
@@ -150,9 +146,12 @@ struct HttpClientResponse {
 
 /// Sends one request (Connection: close) and parses the response,
 /// decoding chunked transfer coding. `bearer_token` non-empty adds the
-/// Authorization header. Returns false with *error on connect/protocol
-/// failure; HTTP error statuses are successful parses (check
-/// out.status).
+/// Authorization header. `timeout_ms` bounds the connect and then every
+/// send and every read of the response (SO_SNDTIMEO/SO_RCVTIMEO), so a
+/// peer that accepts and never answers fails the call after about that
+/// long; it bounds each stall, not the whole exchange (-1 = no bound).
+/// Returns false with *error on connect/protocol failure or a timeout;
+/// HTTP error statuses are successful parses (check out.status).
 [[nodiscard]] bool http_request(const std::string& host, uint16_t port,
                                 const std::string& method, const std::string& target,
                                 const std::string& body, const std::string& bearer_token,

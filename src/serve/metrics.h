@@ -1,13 +1,13 @@
 // Prometheus text-format (exposition format version 0.0.4) rendering of
 // ServiceStats.
 //
-// The service is scraped through the protocol rather than an HTTP port: a
-// `{"type": "metrics"}` request answers with a `metrics` event whose
-// `data` field holds exactly this text, and `serve_tool --scrape` decodes
-// it back to the raw exposition format for a node-exporter textfile
-// collector or any other pull pipeline. Counters are monotonic since
-// service start; gauges are momentary; the request-latency histogram
-// follows the cumulative-`le` bucket convention.
+// The same text reaches a scraper two ways: a `{"type": "metrics"}`
+// request answers with a `metrics` event whose `data` field holds exactly
+// this text (`serve_tool --scrape` decodes it back to the raw exposition
+// format), and the HTTP front door serves it as `GET /metrics` for a stock
+// Prometheus. Counters are monotonic since service start; gauges are
+// momentary; the request-latency histogram follows the cumulative-`le`
+// bucket convention.
 #ifndef SDLC_SERVE_METRICS_H
 #define SDLC_SERVE_METRICS_H
 

@@ -70,45 +70,27 @@ bool SweepService::submit_line(const std::string& line, std::shared_ptr<Response
     SweepRequest request;
     RequestError error;
     if (!parse_request(line, opts_.max_request_bytes, request, error)) {
-        size_t bytes = 0;
-        const std::string err = error_event(error.id, error.code, error.message);
-        const std::string done = done_event(error.id, false);
-        bytes = err.size() + done.size() + 2;
-        sink->write_line(err);
-        sink->write_line(done);
-        access_log_line(error.id, "invalid", {}, error.code.c_str(), 0.0,
-                        seconds_since(parse_start), bytes, false, false);
+        reject(*sink, error.id, "invalid", {}, error.code, error.message,
+               seconds_since(parse_start));
         return !shutdown_requested();
     }
-    return submit_job(request, std::move(sink), seconds_since(parse_start));
-}
-
-void SweepService::reject_oversized_line(ResponseSink& sink) {
-    const std::string err =
-        error_event("", "too_large", "unterminated request line exceeded the size cap");
-    const std::string done = done_event("", false);
-    sink.write_line(err);
-    sink.write_line(done);
-    access_log_line("", "invalid", {}, "too_large", 0.0, 0.0, err.size() + done.size() + 2,
-                    false, false);
-}
-
-bool SweepService::submit_job(const SweepRequest& request, std::shared_ptr<ResponseSink> sink,
-                              double parse_s) {
-    // Cancels act on service state, not on the sweep pipeline: handle them
+    const double parse_s = seconds_since(parse_start);
+    // Cancels act on service state, not on the sweep pipeline: answer them
     // inline so a cancel is never stuck in the queue behind its target.
     if (request.type == RequestType::kCancel) {
-        handle_cancel(request, *sink);
+        answer_control(request, *sink, 0.0, std::chrono::steady_clock::now());
         return !shutdown_requested();
     }
 
+    const auto arrival = std::chrono::steady_clock::now();
     Job job;
     job.request = request;
-    job.sink = std::move(sink);
-    job.arrival = std::chrono::steady_clock::now();
+    job.sink = sink;
+    job.arrival = arrival;
     job.parse_s = parse_s;
+    const bool sweep = request.type == RequestType::kSweep;
     bool created_flag = false;
-    if (request.type == RequestType::kSweep) {
+    if (sweep) {
         std::lock_guard<std::mutex> lock(state_mutex_);
         auto& flag = cancel_flags_[request.id];
         if (flag == nullptr) {
@@ -117,104 +99,108 @@ bool SweepService::submit_job(const SweepRequest& request, std::shared_ptr<Respo
         }
         job.cancel = flag;
     }
+    const auto cancel_flag = job.cancel;  // push moves the job away
 
-    auto failed_sink = job.sink;  // push moves the job away
-    const auto cancel_flag = job.cancel;
-    const std::string id = request.id;
-    // Control requests (stats, metrics, shutdown) must stay serviceable
-    // during the very overload they exist to observe and resolve, so they
-    // never block on — or get shed from — a full queue: they ride the
-    // queue when there is room (normal FIFO semantics) and are answered
-    // inline when there is not. Sweeps block (backpressure) unless
-    // --reject-overload turns a full queue into `overloaded` rejections.
-    const bool sweep = request.type == RequestType::kSweep;
+    // Control requests (stats, metrics, trace, shutdown) must stay
+    // serviceable during the very overload they exist to observe and
+    // resolve, so they never block on — or get shed from — a full queue:
+    // they ride the queue when there is room (normal FIFO semantics) and
+    // are answered inline when there is not. Sweeps block (backpressure)
+    // unless --reject-overload turns a full queue into `overloaded`
+    // rejections.
     const bool blocking = sweep && !opts_.reject_when_full;
     const bool pushed = blocking ? queue_.push(std::move(job)) : queue_.try_push(std::move(job));
-    if (!pushed) {
-        if (created_flag) {
-            // Only retract the flag this submission created: a rejected
-            // duplicate id must not strip a queued/running sweep of its
-            // cancellability.
-            std::lock_guard<std::mutex> lock(state_mutex_);
-            const auto it = cancel_flags_.find(id);
-            if (it != cancel_flags_.end() && it->second == cancel_flag) cancel_flags_.erase(it);
-        }
-        if (queue_.closed()) {
-            const std::string err =
-                error_event(id, "shutting_down", "service is draining; request rejected");
-            const std::string done = done_event(id, false);
-            failed_sink->write_line(err);
-            failed_sink->write_line(done);
-            access_log_line(id, request_type_name(request.type), request.trace,
-                            "shutting_down", 0.0, 0.0, err.size() + done.size() + 2, false,
-                            false);
-            return false;
-        }
-        if (!sweep) {
-            // Full queue, control request: answer it right here on the
-            // submitting thread. The counters are momentary either way.
-            switch (request.type) {
-                case RequestType::kStats:
-                    failed_sink->write_line(stats_event(id, stats()));
-                    break;
-                case RequestType::kMetrics:
-                    failed_sink->write_line(metrics_event(id, prometheus_metrics(stats())));
-                    break;
-                case RequestType::kTrace:
-                    failed_sink->write_line(trace_event(id, trace_trees()));
-                    break;
-                case RequestType::kShutdown:
-                    request_shutdown();
-                    break;
-                case RequestType::kSweep:
-                case RequestType::kCancel:
-                    break;  // unreachable: sweeps handled below, cancels above
-            }
-            failed_sink->write_line(done_event(id, true));
-            return !shutdown_requested();
-        }
-        // Load-shedding rejection: the service stays up, the caller keeps
-        // reading its connection, only this request is refused.
-        {
-            std::lock_guard<std::mutex> lock(state_mutex_);
-            ++counters_.overloaded;
-        }
-        const std::string err = error_event(
-            id, "overloaded",
-            "request queue is full (capacity " + std::to_string(queue_.capacity()) + ")");
-        const std::string done = done_event(id, false);
-        failed_sink->write_line(err);
-        failed_sink->write_line(done);
-        access_log_line(id, "sweep", request.trace, "overloaded", 0.0, 0.0,
-                        err.size() + done.size() + 2, true, false);
+    if (pushed) {
+        std::lock_guard<std::mutex> lock(state_mutex_);
+        ++counters_.accepted;
         return true;
     }
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    ++counters_.accepted;
+    if (created_flag) {
+        // Only retract the flag this submission created: a rejected
+        // duplicate id must not strip a queued/running sweep of its
+        // cancellability.
+        std::lock_guard<std::mutex> lock(state_mutex_);
+        const auto it = cancel_flags_.find(request.id);
+        if (it != cancel_flags_.end() && it->second == cancel_flag) cancel_flags_.erase(it);
+    }
+    if (queue_.closed()) {
+        reject(*sink, request.id, request_type_name(request.type), request.trace,
+               "shutting_down", "service is draining; request rejected");
+        return false;
+    }
+    if (!sweep) {
+        // Full queue, control request: answer it right here on the
+        // submitting thread. The counters are momentary either way.
+        answer_control(request, *sink, 0.0, arrival);
+        return !shutdown_requested();
+    }
+    // Load-shedding rejection: the service stays up, the caller keeps
+    // reading its connection, only this request is refused.
+    {
+        std::lock_guard<std::mutex> lock(state_mutex_);
+        ++counters_.overloaded;
+    }
+    reject(*sink, request.id, "sweep", request.trace, "overloaded",
+           "request queue is full (capacity " + std::to_string(queue_.capacity()) + ")", 0.0,
+           /*shed=*/true);
     return true;
 }
 
-void SweepService::handle_cancel(const SweepRequest& request, ResponseSink& sink) {
-    std::shared_ptr<std::atomic<bool>> flag;
-    {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        const auto it = cancel_flags_.find(request.target);
-        if (it != cancel_flags_.end()) flag = it->second;
-    }
+void SweepService::reject_oversized_line(ResponseSink& sink) {
+    reject(sink, "", "invalid", {}, "too_large",
+           "unterminated request line exceeded the size cap");
+}
+
+void SweepService::reject(ResponseSink& sink, const std::string& id, const char* verb,
+                          const obs::TraceContext& trace, const std::string& code,
+                          const std::string& message, double wall_s, bool shed) {
+    const std::string err = error_event(id, code, message);
+    const std::string done = done_event(id, false);
+    sink.write_line(err);
+    sink.write_line(done);
+    access_log_line(id, verb, trace, code.c_str(), 0.0, wall_s, err.size() + done.size() + 2,
+                    shed, false);
+}
+
+void SweepService::answer_control(const SweepRequest& request, ResponseSink& sink,
+                                  double queue_wait_s,
+                                  std::chrono::steady_clock::time_point arrival) {
     CountingSink counting(sink);
-    if (flag == nullptr) {
-        counting.write_line(error_event(request.id, "unknown_target",
-                                        "no queued or running sweep with id \"" +
-                                            request.target + "\""));
-        counting.write_line(done_event(request.id, false));
-        access_log_line(request.id, "cancel", request.trace, "unknown_target", 0.0, 0.0,
-                        counting.bytes(), false, false);
-        return;
+    switch (request.type) {
+        case RequestType::kStats:
+            counting.write_line(stats_event(request.id, stats()));
+            break;
+        case RequestType::kMetrics:
+            counting.write_line(metrics_event(request.id, prometheus_metrics(stats())));
+            break;
+        case RequestType::kTrace:
+            counting.write_line(trace_event(request.id, trace_trees()));
+            break;
+        case RequestType::kShutdown:
+            request_shutdown();
+            break;
+        case RequestType::kCancel: {
+            std::shared_ptr<std::atomic<bool>> flag;
+            {
+                std::lock_guard<std::mutex> lock(state_mutex_);
+                const auto it = cancel_flags_.find(request.target);
+                if (it != cancel_flags_.end()) flag = it->second;
+            }
+            if (flag == nullptr) {
+                reject(sink, request.id, "cancel", request.trace, "unknown_target",
+                       "no queued or running sweep with id \"" + request.target + "\"",
+                       seconds_since(arrival));
+                return;
+            }
+            flag->store(true, std::memory_order_relaxed);
+            break;
+        }
+        case RequestType::kSweep:
+            return;  // unreachable: sweeps run in run_sweep
     }
-    flag->store(true, std::memory_order_relaxed);
     counting.write_line(done_event(request.id, true));
-    access_log_line(request.id, "cancel", request.trace, "ok", 0.0, 0.0, counting.bytes(),
-                    false, false);
+    access_log_line(request.id, request_type_name(request.type), request.trace, "ok",
+                    queue_wait_s, seconds_since(arrival), counting.bytes(), false, false);
 }
 
 void SweepService::request_shutdown() {
@@ -278,62 +264,21 @@ ServiceStats SweepService::stats() const {
 
 void SweepService::worker_loop() {
     while (std::optional<Job> job = queue_.pop()) {
+        const double queue_wait_s = seconds_since(job->arrival);
         {
             std::lock_guard<std::mutex> lock(state_mutex_);
             ++in_flight_;
+            counters_.queue_wait.observe(queue_wait_s);
         }
-        process(*job);
+        if (job->request.type == RequestType::kSweep) {
+            run_sweep(*job, queue_wait_s);
+        } else {
+            answer_control(job->request, *job->sink, queue_wait_s, job->arrival);
+        }
         {
             std::lock_guard<std::mutex> lock(state_mutex_);
             --in_flight_;
         }
-    }
-}
-
-void SweepService::process(Job& job) {
-    const SweepRequest& request = job.request;
-    ResponseSink& sink = *job.sink;
-    const double queue_wait_s = seconds_since(job.arrival);
-    {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        counters_.queue_wait.observe(queue_wait_s);
-    }
-    switch (request.type) {
-        case RequestType::kSweep:
-            run_sweep(job, queue_wait_s);
-            break;
-        case RequestType::kStats:
-        case RequestType::kMetrics:
-        case RequestType::kTrace: {
-            const char* verb = request_type_name(request.type);
-            CountingSink counting(sink);
-            switch (request.type) {
-                case RequestType::kStats:
-                    counting.write_line(stats_event(request.id, stats()));
-                    break;
-                case RequestType::kMetrics:
-                    counting.write_line(metrics_event(request.id, prometheus_metrics(stats())));
-                    break;
-                default:
-                    counting.write_line(trace_event(request.id, trace_trees()));
-                    break;
-            }
-            counting.write_line(done_event(request.id, true));
-            access_log_line(request.id, verb, request.trace, "ok", queue_wait_s,
-                            seconds_since(job.arrival), counting.bytes(), false, false);
-            break;
-        }
-        case RequestType::kShutdown: {
-            request_shutdown();
-            const std::string done = done_event(request.id, true);
-            sink.write_line(done);
-            access_log_line(request.id, "shutdown", request.trace, "ok", queue_wait_s,
-                            seconds_since(job.arrival), done.size() + 1, false, false);
-            break;
-        }
-        case RequestType::kCancel:
-            // Unreachable: cancels are handled inline in submit_job().
-            break;
     }
 }
 

@@ -88,11 +88,19 @@ public:
     SweepService(const SweepService&) = delete;
     SweepService& operator=(const SweepService&) = delete;
 
-    /// Parses and enqueues one NDJSON request line; every response event
-    /// for it goes to `sink`. Malformed lines are answered immediately
-    /// with error + done events. Returns false once the service is
-    /// shutting down and the line was rejected (an error event is still
-    /// emitted); blocks while the request queue is full.
+    /// The options the service was built with. Front ends read the
+    /// request-size cap and the access log from here, so every transport
+    /// judges and logs a request the same way.
+    [[nodiscard]] const ServiceOptions& options() const noexcept { return opts_; }
+
+    /// Parses and admits one NDJSON request line; every response event for
+    /// it goes to `sink`, and every request gets one access-log line.
+    /// Malformed lines are answered at once with error + done events, and
+    /// so are cancels. Sweeps and control requests join the FIFO queue; a
+    /// control request that meets a full queue is answered inline, a sweep
+    /// blocks (or is shed as `overloaded` with reject_when_full). Returns
+    /// false once the service is shutting down and the line was rejected
+    /// (an error event is still emitted).
     bool submit_line(const std::string& line, std::shared_ptr<ResponseSink> sink);
 
     /// Answers an over-long unterminated line with too_large + done (the
@@ -138,17 +146,24 @@ private:
         /// Submission time: the origin of the request's deadline_ms budget
         /// (queue wait counts against it) and of the latency histogram.
         std::chrono::steady_clock::time_point arrival;
-        /// Seconds parse_request spent on the line (0 for pre-parsed
-        /// submits); becomes a `parse` span on traced requests.
+        /// Seconds parse_request spent on the line; becomes a `parse` span
+        /// on traced requests.
         double parse_s = 0.0;
     };
 
     void worker_loop();
-    void process(Job& job);
     void run_sweep(const Job& job, double queue_wait_s);
-    void handle_cancel(const SweepRequest& request, ResponseSink& sink);
-    bool submit_job(const SweepRequest& request, std::shared_ptr<ResponseSink> sink,
-                    double parse_s);
+    /// Answers a control request (stats, metrics, trace, shutdown, cancel)
+    /// on `sink` and writes its access-log line. The one place a control
+    /// verb is answered, whether a request worker popped it or submit_line
+    /// answers it inline.
+    void answer_control(const SweepRequest& request, ResponseSink& sink, double queue_wait_s,
+                        std::chrono::steady_clock::time_point arrival);
+    /// Refuses one request: an `error` event with `code`, a failed `done`,
+    /// and an access-log line whose outcome is `code`.
+    void reject(ResponseSink& sink, const std::string& id, const char* verb,
+                const obs::TraceContext& trace, const std::string& code,
+                const std::string& message, double wall_s = 0.0, bool shed = false);
     /// Writes the per-request access-log line (no-op without a log).
     void access_log_line(const std::string& id, const char* verb,
                          const obs::TraceContext& trace, const char* outcome,

@@ -444,9 +444,9 @@ FdSink::~FdSink() {
 }
 
 void FdSink::write_line(const std::string& line) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (dropped_) return;
-    if (!write_all(fd_, line) || !write_all(fd_, "\n")) dropped_ = true;
+    // One send per event: with TCP_NODELAY, a separate newline write
+    // would put each event in two segments.
+    write_raw(line + '\n');
 }
 
 void FdSink::write_raw(std::string_view data) {

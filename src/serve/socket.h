@@ -199,10 +199,11 @@ public:
 
     void write_line(const std::string& line) override;
 
-    /// Writes `data` exactly as given — no newline framing — under the
-    /// same mutex and dropped-state rules as write_line. The HTTP front door uses this for response heads and
-    /// chunk frames interleaved (atomically, via the mutex) with the
-    /// NDJSON event lines streamed by in-flight requests.
+    /// Writes `data` exactly as given — no newline framing — in one
+    /// locked write_all, under the same dropped-state rules; write_line is
+    /// write_raw(line + '\n'). The HTTP front door uses this for response
+    /// heads and chunk frames interleaved (atomically, via the mutex) with
+    /// the NDJSON event lines streamed by in-flight requests.
     void write_raw(std::string_view data);
 
     /// True once a write failed and the sink started dropping lines.

@@ -67,23 +67,23 @@ void serve_connection_loop(SocketListener& listener, SweepService& service,
     connections.clear();
 }
 
-void serve_listener(SocketListener& listener, SweepService& service, size_t max_request_bytes) {
-    serve_connection_loop(
-        listener, service,
-        [&service, max_line = max_request_bytes + 1](int fd,
-                                                     const std::shared_ptr<FdSink>& sink) {
-            LineReader reader(fd, max_line);
-            std::string line;
-            while (reader.next(line)) {
-                if (line.empty()) continue;
-                if (!service.submit_line(line, sink)) break;
-            }
-            if (reader.overflowed()) {
-                // The protocol promises a machine-readable rejection for
-                // oversized lines even when no newline ever arrives.
-                service.reject_oversized_line(*sink);
-            }
-        });
+void serve_lines(int fd, SweepService& service, const std::shared_ptr<ResponseSink>& sink) {
+    LineReader reader(fd, service.options().max_request_bytes + 1);
+    std::string line;
+    while (reader.next(line)) {
+        if (line.empty()) continue;
+        if (!service.submit_line(line, sink)) break;  // draining: stop reading
+    }
+    // The protocol promises a machine-readable rejection for oversized
+    // lines even when no newline ever arrives.
+    if (reader.overflowed()) service.reject_oversized_line(*sink);
+}
+
+void serve_listener(SocketListener& listener, SweepService& service) {
+    serve_connection_loop(listener, service,
+                          [&service](int fd, const std::shared_ptr<FdSink>& sink) {
+                              serve_lines(fd, service, sink);
+                          });
 }
 
 }  // namespace sdlc::serve

@@ -274,8 +274,7 @@ struct Worker {
         opts.eval_threads = 2;
         service = std::make_unique<serve::SweepService>(opts);
         listener = std::make_unique<serve::TcpSocketServer>("127.0.0.1", 0);
-        loop = std::thread(
-            [this] { serve::serve_listener(*listener, *service, opts.max_request_bytes); });
+        loop = std::thread([this] { serve::serve_listener(*listener, *service); });
     }
 
     [[nodiscard]] std::string spec() const {

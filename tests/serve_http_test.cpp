@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -103,6 +104,26 @@ TEST(ReadAuthTokenFile, TrimsAndRejectsEmpty) {
     ::unlink(path.c_str());
 }
 
+TEST(HttpClient, TimeoutBoundsAPeerThatNeverAnswers) {
+    // A peer that accepts and then says nothing: the budget must bound the
+    // wait for the response head, not just the connect.
+    TcpSocketServer listener("127.0.0.1", 0);
+    auto call = std::async(std::launch::async, [port = listener.port()] {
+        HttpClientResponse response;
+        std::string error;
+        return http_request("127.0.0.1", port, "GET", "/metrics", "", "", response, &error,
+                            /*timeout_ms=*/300);
+    });
+    const int held = listener.accept_client(/*timeout_ms=*/5000);
+    const bool returned = call.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+    // Closing the held connection ends a call that ignores its budget, so
+    // such a build fails here instead of hanging.
+    if (held >= 0) ::close(held);
+    EXPECT_GE(held, 0);
+    EXPECT_TRUE(returned) << "http_request outlived its 300 ms budget by 5 s";
+    EXPECT_FALSE(call.get()) << "a peer that never answers is a failed request";
+}
+
 // --------------------------------------------------------- served fixture ----
 
 /// A served HTTP endpoint: SweepService + serve_http_listener on a
@@ -118,9 +139,6 @@ struct HttpFixture {
     explicit HttpFixture(HttpOptions h = {}, ServiceOptions o = {}) : opts(o), http(h) {
         service = std::make_unique<SweepService>(opts);
         listener = std::make_unique<TcpSocketServer>("127.0.0.1", 0);
-        if (!http.metrics_fn) {
-            http.metrics_fn = [this] { return prometheus_metrics(service->stats()); };
-        }
         loop = std::thread([this] { serve_http_listener(*listener, *service, http); });
     }
 
@@ -292,7 +310,7 @@ struct DualListenerFixture {
     TcpSocketServer http{"127.0.0.1", 0};
     std::atomic<int> returned{0};  ///< serve loops that have returned
     std::thread line_loop{[this] {
-        serve_listener(line, service, kDefaultMaxRequestBytes);
+        serve_listener(line, service);
         ++returned;
     }};
     std::thread http_loop{[this] {
@@ -338,10 +356,10 @@ TEST(ServeHttp, OneShutdownEndsLineAndHttpListenersOfOneService) {
 // --------------------------------------------------------------- negatives ----
 
 TEST(ServeHttp, TransportLevelRejections) {
-    HttpOptions options;
-    options.max_header_bytes = 512;
-    options.max_body_bytes = 1024;
-    HttpFixture fx(options);
+    // The door's body cap is the service's request-size cap.
+    ServiceOptions service_options;
+    service_options.max_request_bytes = 1024;
+    HttpFixture fx({}, service_options);
 
     // Unknown path.
     std::string out = raw_exchange(
@@ -362,9 +380,14 @@ TEST(ServeHttp, TransportLevelRejections) {
     out = raw_exchange(fx.port(), "GET /healthz HTTP/2.0\r\nHost: x\r\n\r\n");
     EXPECT_NE(out.find("HTTP/1.1 505"), std::string::npos) << out;
 
-    // Oversized head: stream headers past the cap.
-    out = raw_exchange(fx.port(), "GET /healthz HTTP/1.1\r\nX-Pad: " +
-                                      std::string(2048, 'x') + "\r\n\r\n");
+    // Oversized head: one byte past the cap, so the server has read every
+    // byte sent by the time it answers 431 and closes (unread bytes would
+    // turn the close into a reset that can discard the answer).
+    const std::string pad_start = "GET /healthz HTTP/1.1\r\nX-Pad: ";
+    out = raw_exchange(fx.port(),
+                       pad_start +
+                           std::string(kMaxHttpHeadBytes + 1 - pad_start.size() - 4, 'x') +
+                           "\r\n\r\n");
     EXPECT_NE(out.find("HTTP/1.1 431"), std::string::npos) << out;
 
     // Declared body beyond the cap is refused before it is read.
@@ -461,10 +484,12 @@ TEST(ServeHttp, AccessLogRecordsStatusAndOutcome) {
     {
         HttpOptions options;
         options.auth_token = "tok";
+        // The door writes its lines to the service's access log.
+        ServiceOptions service_options;
         std::string error;
-        options.access_log = obs::AccessLog::open(path, &error);
-        ASSERT_NE(options.access_log, nullptr) << error;
-        HttpFixture fx(options);
+        service_options.access_log = obs::AccessLog::open(path, &error);
+        ASSERT_NE(service_options.access_log, nullptr) << error;
+        HttpFixture fx(options, service_options);
 
         HttpClientResponse response;
         ASSERT_TRUE(http_request("127.0.0.1", fx.port(), "GET", "/metrics", "", "",

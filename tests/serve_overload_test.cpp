@@ -1,18 +1,23 @@
 // Overload behavior of the bounded request queue: with load-shedding
-// enabled a full queue answers deterministic `overloaded` rejections, no
-// response is ever lost or duplicated, and shutdown still drains every
+// enabled a full queue answers deterministic `overloaded` rejections, a
+// control request that meets a full queue is answered inline and logged,
+// no response is ever lost or duplicated, and shutdown still drains every
 // admitted request — including under many concurrent submitting clients.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/access_log.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
 #include "serve/sink.h"
@@ -157,6 +162,52 @@ TEST(ServeOverload, FullQueueRejectsDeterministically) {
     EXPECT_EQ(queued_b->done_count(), 1u);
     EXPECT_EQ(service.stats().completed, 3u);
     EXPECT_EQ(service.stats().overloaded, static_cast<uint64_t>(shed));
+}
+
+TEST(ServeOverload, ControlRequestAnsweredOnAFullQueueIsAccessLogged) {
+    // Every request gets one access-log line, including a control request
+    // that meets a full queue and is answered inline.
+    const std::string path = testing::TempDir() + "/sdlc_overload_access_log.jsonl";
+    ::unlink(path.c_str());
+    {
+        ServiceOptions opts;
+        opts.request_workers = 1;
+        opts.queue_capacity = 1;
+        std::string error;
+        opts.access_log = obs::AccessLog::open(path, &error);
+        ASSERT_NE(opts.access_log, nullptr) << error;
+        SweepService service(opts);
+
+        // The worker is pinned inside one sweep and the queue holds another.
+        auto blocker = std::make_shared<GateSink>(/*gated=*/true);
+        ASSERT_TRUE(service.submit_line(tiny_sweep_line("blocker"), blocker));
+        blocker->wait_entered();
+        auto queued = std::make_shared<GateSink>();
+        ASSERT_TRUE(service.submit_line(tiny_sweep_line("queued"), queued));
+
+        auto stats_sink = std::make_shared<GateSink>();
+        ASSERT_TRUE(service.submit_line("{\"id\": \"s\", \"type\": \"stats\"}", stats_sink));
+        const auto stats_events = stats_sink->wait_done();
+        EXPECT_NE(stats_events.back().find("\"ok\": true"), std::string::npos);
+        EXPECT_EQ(stats_sink->done_count(), 1u);
+
+        blocker->release();
+        blocker->wait_done();
+        queued->wait_done();
+        service.shutdown();
+    }
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    size_t stats_lines = 0;
+    for (std::string line; std::getline(in, line);) {
+        if (line.find("\"id\": \"s\", \"verb\": \"stats\"") != std::string::npos) {
+            ++stats_lines;
+        }
+        lines.push_back(line);
+    }
+    EXPECT_EQ(stats_lines, 1u) << "the inline stats answer must be logged once";
+    EXPECT_EQ(lines.size(), 3u) << "one line per request: two sweeps and the stats request";
+    ::unlink(path.c_str());
 }
 
 TEST(ServeOverload, RejectedDuplicateIdKeepsRunningSweepCancellable) {

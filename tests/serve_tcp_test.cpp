@@ -162,9 +162,7 @@ struct TcpFixture {
     explicit TcpFixture(ServiceOptions o = {}) : opts(o) {
         service = std::make_unique<SweepService>(opts);
         listener = std::make_unique<TcpSocketServer>("127.0.0.1", 0);
-        loop = std::thread([this] {
-            serve_listener(*listener, *service, opts.max_request_bytes);
-        });
+        loop = std::thread([this] { serve_listener(*listener, *service); });
     }
 
     ~TcpFixture() {
@@ -319,7 +317,7 @@ TEST(ServeTcp, ShutdownRequestedBeforeTheLoopStartsEndsIt) {
     SweepService service(opts);
     TcpSocketServer listener("127.0.0.1", 0);
     service.request_shutdown();
-    serve_listener(listener, service, opts.max_request_bytes);
+    serve_listener(listener, service);
     EXPECT_TRUE(service.shutdown_requested());
 }
 

@@ -48,6 +48,7 @@
 #include "obs/trace.h"
 #include "util/cli.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -264,6 +265,11 @@ int main(int argc, char** argv) {
             opts.recorder = trace_recorder.get();
             opts.trace = trace_root;
         }
+        // One pool of --threads workers for every sweep this process runs:
+        // each --repeat run, and every shard a --workers sweep evaluates
+        // here.
+        ThreadPool pool(opts.threads);
+        opts.pool = &pool;
         serve::ClusterCounters cluster_totals;
         auto run_sweep = [&](SweepStats& out) {
             if (!clustered) return evaluate_sweep(spec, opts, &out);

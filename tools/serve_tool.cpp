@@ -84,7 +84,8 @@ using namespace sdlc::serve;
         "    --threads N          evaluation ThreadPool size (default: hardware)\n"
         "    --request-workers N  concurrent in-flight requests (default 2)\n"
         "    --queue-capacity N   bounded request queue size (default 64)\n"
-        "    --max-request-bytes N  reject longer request lines (default 1 MiB)\n"
+        "    --max-request-bytes N  reject longer request lines and HTTP request\n"
+        "                         bodies (default 1 MiB)\n"
         "    --reject-overload    answer a full queue with an `overloaded` error\n"
         "                         event instead of blocking the connection\n"
         "  observability (server modes):\n"
@@ -171,9 +172,8 @@ int connect_destination(const CommandLine& cli) {
 // ------------------------------------------------------------ stdio mode ----
 
 int run_stdio_server(const CommandLine& cli) {
-    const ServiceOptions opts = service_options(cli);
-    SweepService service(opts);
-    const auto sink = std::make_shared<OstreamSink>(std::cout);
+    SweepService service(service_options(cli));
+    const std::shared_ptr<ResponseSink> sink = std::make_shared<OstreamSink>(std::cout);
 
     // stdin is read on its own thread so a shutdown request can end the
     // server even while the peer keeps the pipe open: the main thread
@@ -186,13 +186,7 @@ int run_stdio_server(const CommandLine& cli) {
         cv.notify_all();
     });
     std::thread reader([&] {
-        LineReader lines(STDIN_FILENO, opts.max_request_bytes + 1);
-        std::string line;
-        while (lines.next(line)) {
-            if (line.empty()) continue;
-            if (!service.submit_line(line, sink)) break;  // draining: stop reading
-        }
-        if (lines.overflowed()) service.reject_oversized_line(*sink);
+        serve_lines(STDIN_FILENO, service, sink);
         {
             std::lock_guard<std::mutex> lock(mutex);
             reader_done = true;
@@ -220,51 +214,41 @@ int run_stdio_server(const CommandLine& cli) {
 
 // ----------------------------------------------------------- socket mode ----
 
+/// Binds the TCP listener that `flag` (--listen-tcp or --listen-http)
+/// names; port 0 binds an ephemeral port.
+std::unique_ptr<TcpSocketServer> bind_tcp(const CommandLine& cli, const std::string& flag) {
+    std::string host;
+    uint16_t port = 0;
+    std::string error;
+    if (!parse_host_port(cli.get(flag), host, port, &error)) usage(flag + ": " + error);
+    return std::make_unique<TcpSocketServer>(host, port);
+}
+
 int run_socket_server(const CommandLine& cli) {
-    // Bind every listener before spinning up the service so a bad endpoint
-    // fails fast without spawning any worker.
+    // Bind every listener and read every HTTP control before spinning up
+    // the service, so a bad endpoint or token file fails fast without
+    // spawning any worker.
     std::unique_ptr<SocketListener> line_listener;
     if (const std::string path = cli.get("--listen"); !path.empty()) {
         line_listener = std::make_unique<UnixSocketServer>(path);
     } else if (cli.has("--listen-tcp")) {
-        std::string host;
-        uint16_t port = 0;
-        std::string error;
-        if (!parse_host_port(cli.get("--listen-tcp"), host, port, &error)) {
-            usage("--listen-tcp: " + error);
-        }
-        line_listener = std::make_unique<TcpSocketServer>(host, port);
+        line_listener = bind_tcp(cli, "--listen-tcp");
     }
     std::unique_ptr<TcpSocketServer> http_listener;
-    if (cli.has("--listen-http")) {
-        std::string host;
-        uint16_t port = 0;
-        std::string error;
-        if (!parse_host_port(cli.get("--listen-http"), host, port, &error)) {
-            usage("--listen-http: " + error);
-        }
-        http_listener = std::make_unique<TcpSocketServer>(host, port);
-    }
-    const ServiceOptions opts = service_options(cli);
-    SweepService service(opts);
-
+    if (cli.has("--listen-http")) http_listener = bind_tcp(cli, "--listen-http");
+    // The door reads its body cap, access log and metrics from the service;
+    // only its own controls are set here.
     HttpOptions http;
-    if (http_listener != nullptr) {
-        // The HTTP and line front ends share one request-size cap, so a
-        // request body is judged by the same limit on either transport.
-        http.max_body_bytes = opts.max_request_bytes;
-        if (const std::string path = cli.get("--auth-token-file"); !path.empty()) {
-            std::string error;
-            if (!read_auth_token_file(path, http.auth_token, &error)) {
-                usage("--auth-token-file: " + error);
-            }
+    if (const std::string path = cli.get("--auth-token-file"); !path.empty()) {
+        std::string error;
+        if (!read_auth_token_file(path, http.auth_token, &error)) {
+            usage("--auth-token-file: " + error);
         }
-        http.quota_rps = cli.get_double("--quota-rps", 0.0, 0.0);
-        if (cli.has("--quota-rps") && http.quota_rps == 0.0) usage("--quota-rps must be > 0");
-        http.quota_burst = cli.get_double("--quota-burst", 0.0, 0.0);
-        http.metrics_fn = [&service] { return prometheus_metrics(service.stats()); };
-        http.access_log = opts.access_log;
     }
+    http.quota_rps = cli.get_double("--quota-rps", 0.0, 0.0);
+    if (cli.has("--quota-rps") && http.quota_rps == 0.0) usage("--quota-rps must be > 0");
+    http.quota_burst = cli.get_double("--quota-burst", 0.0, 0.0);
+    SweepService service(service_options(cli));
 
     if (line_listener != nullptr) {
         std::cerr << "serve_tool: listening on " << line_listener->endpoint() << "\n";
@@ -278,7 +262,7 @@ int run_socket_server(const CommandLine& cli) {
     if (http_listener != nullptr) {
         http_thread = std::thread([&] { serve_http_listener(*http_listener, service, http); });
     }
-    if (line_listener != nullptr) serve_listener(*line_listener, service, opts.max_request_bytes);
+    if (line_listener != nullptr) serve_listener(*line_listener, service);
     if (http_thread.joinable()) http_thread.join();
     write_trace_out(cli, service);
     return 0;
